@@ -25,11 +25,7 @@ from pathlib import Path
 import xlconsist
 from xlconsist.core import LogDist, StochasticKernel
 from xlconsist.metrics import evaluate_policy
-from xlconsist.objectives import (
-    closed_form_optimum,
-    n_language_optimum,
-    policy_kernels,
-)
+from xlconsist.objectives import n_language_optimum, policy_kernels
 from xlconsist.optim import (
     METHOD_DCO,
     METHOD_REINFORCE,
@@ -191,9 +187,7 @@ def _resolve_policy(source: str, scenario: Scenario):
     if source == "ref":
         return dict(scenario.ref), "ref"
     if source == "optimum":
-        opt = (closed_form_optimum(scenario) if scenario.n_langs == 2
-               else n_language_optimum(scenario))
-        return dict(opt.policy), "optimum"
+        return dict(n_language_optimum(scenario).policy), "optimum"
     return _load_policy_file(source, scenario), Path(source).name
 
 

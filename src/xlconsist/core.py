@@ -87,7 +87,7 @@ class LogDist:
         if np.any(logp > 1e-12):
             raise ValueError("log-probability above 0")
         total = logsumexp(logp)
-        if abs(total) > NORMALIZATION_TOL:
+        if not abs(total) <= NORMALIZATION_TOL:  # also rejects NaN
             raise ValueError(f"distribution not normalized: logsumexp={total!r}")
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probs", probs)
@@ -140,8 +140,11 @@ class LogDist:
         return self.support[int(np.argmax(self.probs))]
 
     def ranking(self) -> tuple[int, ...]:
-        """IDs ordered by descending probability, ties by ascending ID."""
-        order = np.lexsort((self.support, -self.probs))
+        """IDs ordered by descending probability, ties by ascending ID.
+
+        Sorted on log-probabilities, which keep two masses apart after
+        their linear probabilities have both underflowed to zero."""
+        order = np.lexsort((self.support, -self.logp))
         return tuple(self.support[k] for k in order)
 
     def floored(self, log_eps: float = LOG_EPS) -> "LogDist":

@@ -14,10 +14,11 @@ reference row and its round-trip target row, computed entirely in log
 space.  Zero-mass target entries would drive the geometric mean to minus
 infinity, so they are lifted to ``LOG_EPS`` and the affected rows flagged.
 
-The bilingual functions are written directly in terms of the two cross
-weights; the ``n_language_*`` functions implement the general
-product-of-powers form.  Their agreement in the two-language case is a
-test obligation, which is why the code paths are deliberately separate.
+One product-of-powers path serves any number of languages: each other
+language contributes its round-trip target raised to the pairwise
+strength.  The bilingual optimum is its two-language case; the
+hand-written two-weight formula lives on in the tests as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def round_trip_target(
 
 
 # ---------------------------------------------------------------------------
-# bilingual objective and optimum
+# objective
 
 
 def _logp_at(d: LogDist, ids: Sequence[int]) -> np.ndarray:
@@ -207,16 +208,13 @@ def _logp_at(d: LogDist, ids: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _other_lang(scenario: Scenario, lang: int) -> int:
-    if scenario.n_langs != 2:
-        raise ValueError("bilingual operation requires exactly two languages")
-    a, b = scenario.lang_ids
-    return b if lang == a else a
-
-
 def _check_prompt(scenario: Scenario, prompt: int, lang: int) -> None:
     if prompt not in scenario.space(lang).candidates:
         raise ValueError(f"prompt {prompt} is not a prompt of language {lang}")
+
+
+def _routes(scenario: Scenario, lang: int) -> list[int]:
+    return [n for n in scenario.lang_ids if n != lang]
 
 
 def _expectation_terms(theta_row: LogDist, logp_other: np.ndarray) -> float:
@@ -228,52 +226,65 @@ def _expectation_terms(theta_row: LogDist, logp_other: np.ndarray) -> float:
     return float(np.sum(theta_row.probs[mask] * vals))
 
 
-def pco_objective(
+def n_language_objective(
     theta: StochasticKernel,
     scenario: Scenario,
     prompt: int,
     lang: int,
-    target: LogDist | None = None,
+    targets: Mapping[int, LogDist] | None = None,
 ) -> PcoValue:
-    """One prompt's penalized value: KL to the reference minus the
-    strength-weighted expected log round-trip likelihood, both under the
-    candidate policy."""
+    """One prompt's penalized value: KL to the reference minus one
+    strength-weighted expected log round-trip likelihood per other
+    language, all under the candidate policy.  ``targets`` maps each other
+    language to a precomputed round-trip target."""
     _check_prompt(scenario, prompt, lang)
-    via = _other_lang(scenario, lang)
-    beta = scenario.beta(lang, via)
     t_row = theta.row(prompt)
     ref_row = scenario.ref[lang].row(prompt)
-    if target is None:
-        target = round_trip_target(scenario, lang, via, prompt)
-
     log_ref = _logp_at(ref_row, t_row.support)
     fid = _expectation_terms(t_row, log_ref)
+    mask = t_row.probs > 0
     fidelity = math.inf if fid == -math.inf else max(
-        0.0, float(np.sum(t_row.probs[t_row.probs > 0] * t_row.logp[t_row.probs > 0])) - fid
+        0.0, float(np.sum(t_row.probs[mask] * t_row.logp[mask])) - fid
     )
-    log_t = _logp_at(target, t_row.support)
-    e_log_target = _expectation_terms(t_row, log_t)
-    reward = beta * e_log_target
+    reward = 0.0
+    for via in _routes(scenario, lang):
+        target = targets.get(via) if targets is not None else None
+        if target is None:
+            target = round_trip_target(scenario, lang, via, prompt)
+        e = _expectation_terms(t_row, _logp_at(target, t_row.support))
+        if e == -math.inf:
+            reward = -math.inf
+            break
+        reward += scenario.beta(lang, via) * e
     total = math.inf if (fidelity == math.inf or reward == -math.inf) else fidelity - reward
     return PcoValue(fidelity=fidelity, reward_term=reward, total=total)
 
 
-def pco_total(
+def n_language_total(
     theta_by_lang: Mapping[int, StochasticKernel],
     scenario: Scenario,
-    targets: Mapping[tuple[int, int], LogDist] | None = None,
+    targets: Mapping[tuple[int, int, int], LogDist] | None = None,
 ) -> float:
-    """The full prior-weighted objective over both languages."""
+    """The full prior-weighted objective over every language; ``targets``
+    is keyed by (lang, via, prompt)."""
     total = 0.0
     for lang in scenario.lang_ids:
         prior = scenario.priors[lang]
         for prompt, mass in zip(prior.support, prior.probs):
             if mass == 0.0:
                 continue
-            tgt = targets.get((lang, prompt)) if targets is not None else None
-            val = pco_objective(theta_by_lang[lang], scenario, prompt, lang, target=tgt)
+            per_route = None
+            if targets is not None:
+                per_route = {via: targets[(lang, via, prompt)]
+                             for via in _routes(scenario, lang)}
+            val = n_language_objective(theta_by_lang[lang], scenario, prompt, lang,
+                                       targets=per_route)
             total += mass * val.total
     return total
+
+
+# ---------------------------------------------------------------------------
+# closed-form optimum
 
 
 @dataclass(frozen=True)
@@ -308,23 +319,20 @@ def _tilted_row(
     return LogDist.from_logp(ref_row.support, unnorm), log_z, floor_used
 
 
-def closed_form_optimum(
+def n_language_optimum(
     scenario: Scenario, mc: MonteCarloConfig | None = None
 ) -> ClosedFormOptimum:
-    """Bilingual optimum: per prompt, the reference row tilted by the
-    round-trip target raised to that language's cross weight."""
-    if scenario.n_langs != 2:
-        raise ValueError("bilingual operation requires exactly two languages; "
-                         "use n_language_optimum for more")
+    """Product-of-powers optimum: the reference row tilted by every other
+    language's round-trip target raised to the pairwise strength."""
     policy, log_norm, floored = {}, {}, []
     for lang in scenario.lang_ids:
-        via = _other_lang(scenario, lang)
-        beta = scenario.beta(lang, via)
         rows = {}
         for prompt in scenario.space(lang).prompts:
-            target = round_trip_target(scenario, lang, via, prompt, mc=mc)
-            row, log_z, used = _tilted_row(scenario.ref[lang].row(prompt),
-                                           [(beta, target)])
+            tilts = [
+                (scenario.beta(lang, via), round_trip_target(scenario, lang, via, prompt, mc=mc))
+                for via in _routes(scenario, lang)
+            ]
+            row, log_z, used = _tilted_row(scenario.ref[lang].row(prompt), tilts)
             rows[prompt] = row
             log_norm[prompt] = log_z
             if used:
@@ -333,22 +341,39 @@ def closed_form_optimum(
     return ClosedFormOptimum(policy, log_norm, tuple(floored))
 
 
-def dco_log_targets(
+def closed_form_optimum(
+    scenario: Scenario, mc: MonteCarloConfig | None = None
+) -> ClosedFormOptimum:
+    """The two-language case of :func:`n_language_optimum`: per prompt, the
+    reference row tilted by the round-trip target raised to that
+    language's cross weight."""
+    if scenario.n_langs != 2:
+        raise ValueError("bilingual operation requires exactly two languages; "
+                         "use n_language_optimum for more")
+    return n_language_optimum(scenario, mc=mc)
+
+
+# ---------------------------------------------------------------------------
+# regression targets
+
+
+def n_language_log_targets(
     scenario: Scenario,
     prompt: int,
     lang: int,
     mc: MonteCarloConfig | None = None,
 ) -> np.ndarray:
-    """Per-candidate regression targets: beta * log target + log reference,
-    aligned with the reference row's support order."""
+    """Per-candidate regression targets: log reference plus, for every other
+    language, the strength times the log round-trip target, all floored
+    and aligned with the reference row's support order."""
     _check_prompt(scenario, prompt, lang)
-    via = _other_lang(scenario, lang)
-    beta = scenario.beta(lang, via)
     ref_row = scenario.ref[lang].row(prompt)
-    target = round_trip_target(scenario, lang, via, prompt, mc=mc)
-    log_t = np.maximum(_logp_at(target, ref_row.support), LOG_EPS)
-    log_ref = np.maximum(ref_row.logp, LOG_EPS)
-    return beta * log_t + log_ref
+    out = np.maximum(ref_row.logp, LOG_EPS).copy()
+    for via in _routes(scenario, lang):
+        target = round_trip_target(scenario, lang, via, prompt, mc=mc)
+        log_t = np.maximum(_logp_at(target, ref_row.support), LOG_EPS)
+        out += scenario.beta(lang, via) * log_t
+    return out
 
 
 def target_table(scenario: Scenario, mc: MonteCarloConfig | None = None) -> LogitTable:
@@ -357,10 +382,7 @@ def target_table(scenario: Scenario, mc: MonteCarloConfig | None = None) -> Logi
     for lang in scenario.lang_ids:
         for prompt in scenario.space(lang).prompts:
             supports[prompt] = scenario.ref[lang].row(prompt).support
-            if scenario.n_langs == 2:
-                rows[prompt] = dco_log_targets(scenario, prompt, lang, mc=mc)
-            else:
-                rows[prompt] = n_language_log_targets(scenario, prompt, lang, mc=mc)
+            rows[prompt] = n_language_log_targets(scenario, prompt, lang, mc=mc)
     return LogitTable(supports, rows)
 
 
@@ -396,102 +418,3 @@ def prior_weights(scenario: Scenario) -> dict[int, float]:
         for prompt, mass in zip(prior.support, prior.probs):
             w[prompt] = float(mass)
     return w
-
-
-# ---------------------------------------------------------------------------
-# N-language generalization
-
-
-def _routes(scenario: Scenario, lang: int) -> list[int]:
-    return [n for n in scenario.lang_ids if n != lang]
-
-
-def n_language_objective(
-    theta: StochasticKernel,
-    scenario: Scenario,
-    prompt: int,
-    lang: int,
-    targets: Mapping[int, LogDist] | None = None,
-) -> PcoValue:
-    """Fidelity KL plus one strength-weighted round-trip reward per other
-    language; the two-language case coincides with the bilingual form."""
-    _check_prompt(scenario, prompt, lang)
-    t_row = theta.row(prompt)
-    ref_row = scenario.ref[lang].row(prompt)
-    log_ref = _logp_at(ref_row, t_row.support)
-    fid = _expectation_terms(t_row, log_ref)
-    mask = t_row.probs > 0
-    fidelity = math.inf if fid == -math.inf else max(
-        0.0, float(np.sum(t_row.probs[mask] * t_row.logp[mask])) - fid
-    )
-    reward = 0.0
-    for via in _routes(scenario, lang):
-        target = targets.get(via) if targets is not None else None
-        if target is None:
-            target = round_trip_target(scenario, lang, via, prompt)
-        e = _expectation_terms(t_row, _logp_at(target, t_row.support))
-        if e == -math.inf:
-            reward = -math.inf
-            break
-        reward += scenario.beta(lang, via) * e
-    total = math.inf if (fidelity == math.inf or reward == -math.inf) else fidelity - reward
-    return PcoValue(fidelity=fidelity, reward_term=reward, total=total)
-
-
-def n_language_total(
-    theta_by_lang: Mapping[int, StochasticKernel],
-    scenario: Scenario,
-    targets: Mapping[tuple[int, int, int], LogDist] | None = None,
-) -> float:
-    total = 0.0
-    for lang in scenario.lang_ids:
-        prior = scenario.priors[lang]
-        for prompt, mass in zip(prior.support, prior.probs):
-            if mass == 0.0:
-                continue
-            per_route = None
-            if targets is not None:
-                per_route = {via: targets[(lang, via, prompt)]
-                             for via in _routes(scenario, lang)}
-            val = n_language_objective(theta_by_lang[lang], scenario, prompt, lang,
-                                       targets=per_route)
-            total += mass * val.total
-    return total
-
-
-def n_language_log_targets(
-    scenario: Scenario,
-    prompt: int,
-    lang: int,
-    mc: MonteCarloConfig | None = None,
-) -> np.ndarray:
-    _check_prompt(scenario, prompt, lang)
-    ref_row = scenario.ref[lang].row(prompt)
-    out = np.maximum(ref_row.logp, LOG_EPS).copy()
-    for via in _routes(scenario, lang):
-        target = round_trip_target(scenario, lang, via, prompt, mc=mc)
-        log_t = np.maximum(_logp_at(target, ref_row.support), LOG_EPS)
-        out += scenario.beta(lang, via) * log_t
-    return out
-
-
-def n_language_optimum(
-    scenario: Scenario, mc: MonteCarloConfig | None = None
-) -> ClosedFormOptimum:
-    """Product-of-powers optimum: the reference row tilted by every other
-    language's round-trip target raised to the pairwise strength."""
-    policy, log_norm, floored = {}, {}, []
-    for lang in scenario.lang_ids:
-        rows = {}
-        for prompt in scenario.space(lang).prompts:
-            tilts = [
-                (scenario.beta(lang, via), round_trip_target(scenario, lang, via, prompt, mc=mc))
-                for via in _routes(scenario, lang)
-            ]
-            row, log_z, used = _tilted_row(scenario.ref[lang].row(prompt), tilts)
-            rows[prompt] = row
-            log_norm[prompt] = log_z
-            if used:
-                floored.append((lang, prompt))
-        policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
-    return ClosedFormOptimum(policy, log_norm, tuple(floored))

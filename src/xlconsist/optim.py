@@ -26,11 +26,9 @@ from typing import Mapping
 
 import numpy as np
 
-from xlconsist.core import LogDist, StochasticKernel, total_variation
+from xlconsist.core import LogDist, StochasticKernel, logsumexp, total_variation
 from xlconsist.objectives import (
-    ClosedFormOptimum,
     LogitTable,
-    closed_form_optimum,
     dco_loss,
     initial_logits,
     n_language_optimum,
@@ -109,12 +107,6 @@ class TrainTrace:
         ]
 
 
-def reference_optimum(scenario: Scenario) -> ClosedFormOptimum:
-    if scenario.n_langs == 2:
-        return closed_form_optimum(scenario)
-    return n_language_optimum(scenario)
-
-
 def _max_row_tv(rows_a: Mapping[int, LogDist], rows_b: Mapping[int, LogDist]) -> float:
     return max(total_variation(rows_a[p], rows_b[p]) for p in rows_a)
 
@@ -134,7 +126,7 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
         raise ValueError(f"fit_dco requires method {METHOD_DCO!r}")
     targets = target_table(scenario)
     weights = prior_weights(scenario)
-    optimum = reference_optimum(scenario)
+    optimum = n_language_optimum(scenario)
     opt_rows = {p: optimum.row(scenario.lang_of_prompt(p), p)
                 for p in targets.prompts()}
 
@@ -236,7 +228,7 @@ def fit_pco_reinforce(
     rng = np.random.default_rng(config.seed)
     targets = target_table(scenario)
     weights = prior_weights(scenario)
-    optimum = reference_optimum(scenario)
+    optimum = n_language_optimum(scenario)
     opt_rows = {p: optimum.row(scenario.lang_of_prompt(p), p)
                 for p in targets.prompts()}
 
@@ -254,7 +246,7 @@ def fit_pco_reinforce(
         # exact prior-weighted objective given the fixed target table
         total = 0.0
         for p, row in z.items():
-            lp = row - _logsumexp(row)
+            lp = row - logsumexp(row)
             pi = np.exp(lp)
             total += weights[p] * float(np.sum(pi * (lp - targets.rows[p])))
         return total
@@ -275,7 +267,7 @@ def fit_pco_reinforce(
             p = int(sup[min(int(np.searchsorted(cum, rng.random(), side="right")),
                             len(sup) - 1)])
             row = z[p]
-            lp = row - _logsumexp(row)
+            lp = row - logsumexp(row)
             pi = np.exp(lp)
             cum_pi = np.cumsum(pi)
             draws = np.minimum(
@@ -312,11 +304,6 @@ def fit_pco_reinforce(
         converged = True  # ran its budget without diverging
     table = LogitTable(supports, z)
     return policy_kernels(table, scenario), TrainTrace(tuple(trace), converged, diagnostic)
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))
 
 
 @dataclass(frozen=True)

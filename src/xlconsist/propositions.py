@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -37,10 +36,10 @@ from xlconsist.objectives import (
     dco_loss,
     n_language_optimum,
     n_language_total,
-    pco_objective,
     prior_weights,
     round_trip_target,
     target_table,
+    _tilted_row,
 )
 from xlconsist.scenario import GeneratorConfig, Scenario, cocycle_violations, generate
 
@@ -98,37 +97,12 @@ def corrupt_exponent(s: Scenario, optimum: ClosedFormOptimum) -> ClosedFormOptim
     for lang in s.lang_ids:
         rows = {}
         for prompt in s.space(lang).prompts:
-            ref_row = s.ref[lang].row(prompt)
-            unnorm = ref_row.logp.copy()
-            for via in s.lang_ids:
-                if via == lang:
-                    continue
-                target = round_trip_target(s, lang, via, prompt)
-                log_t = np.array([max(math.log(target.prob(i)) if target.prob(i) > 0
-                                      else -math.inf, -27.631021115928547)
-                                  for i in ref_row.support])
-                unnorm = unnorm + (s.beta(lang, via) + 1.0) * log_t
-            rows[prompt] = LogDist.from_logp(ref_row.support, unnorm)
+            tilts = [(s.beta(lang, via) + 1.0, round_trip_target(s, lang, via, prompt))
+                     for via in s.lang_ids if via != lang]
+            rows[prompt], _, _ = _tilted_row(s.ref[lang].row(prompt), tilts)
             log_norm[prompt] = 0.0
         policy[lang] = StochasticKernel(lang, lang, rows)
     return ClosedFormOptimum(policy, log_norm, optimum.floored)
-
-
-def _objective_total(s: Scenario, policy: Mapping[int, StochasticKernel],
-                     targets) -> float:
-    if s.n_langs == 2:
-        total = 0.0
-        for lang in s.lang_ids:
-            prior = s.priors[lang]
-            for prompt, mass in zip(prior.support, prior.probs):
-                if mass == 0.0:
-                    continue
-                via = [x for x in s.lang_ids if x != lang][0]
-                val = pco_objective(policy[lang], s, prompt, lang,
-                                    target=targets[(lang, via, prompt)])
-                total += mass * val.total
-        return total
-    return n_language_total(policy, s, targets=targets)
 
 
 def _precompute_targets(s: Scenario) -> dict:
@@ -148,12 +122,12 @@ def _minimality(
     seed: int = 0,
 ) -> CheckResult:
     targets = _precompute_targets(s)
-    best = _objective_total(s, optimum.policy, targets)
+    best = n_language_total(optimum.policy, s, targets=targets)
     rng = np.random.default_rng(seed)
     worst_margin = math.inf
     for _ in range(n_perturbations):
         perturbed = {lang: _perturbed_rows(k, rng) for lang, k in optimum.policy.items()}
-        margin = _objective_total(s, perturbed, targets) - best
+        margin = n_language_total(perturbed, s, targets=targets) - best
         worst_margin = min(worst_margin, margin)
         if margin <= 0:
             return CheckResult(check_id, "fail", "a perturbation matched or beat the optimum",
@@ -204,7 +178,7 @@ def check_optimum_consistency(s: Scenario, optimum=None, tol: float = 1e-9) -> C
 def check_logit_target_equivalence(s: Scenario, optimum=None) -> CheckResult:
     cid = "logit-target-equivalence"
     if optimum is None:
-        optimum = closed_form_optimum(s) if s.n_langs == 2 else n_language_optimum(s)
+        optimum = n_language_optimum(s)
     targets = target_table(s)
     worst = 0.0
     for lang in s.lang_ids:
@@ -283,8 +257,7 @@ def run_checks(s: Scenario, self_test: bool = False) -> list[CheckResult]:
     which a working minimality check must catch."""
     optimum = None
     if self_test:
-        base = closed_form_optimum(s) if s.n_langs == 2 else n_language_optimum(s)
-        optimum = corrupt_exponent(s, base)
+        optimum = corrupt_exponent(s, n_language_optimum(s))
     results = [
         check_optimum_minimality(s, optimum=optimum),
         check_optimum_consistency(s, optimum=optimum),

@@ -177,7 +177,7 @@ class StrengthConfig:
             raise ValueError("u and v must have equal length")
         if not u:
             raise ValueError("strength vectors must be non-empty")
-        if any(x <= 0 for x in u) or any(x <= 0 for x in v):
+        if not all(x > 0 for x in u + v):  # also rejects NaN
             raise ValueError("strength entries must be positive")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -593,7 +593,7 @@ def _row_dist(support: Sequence[int], probs: Sequence[float], where: str) -> Log
     if len(support) != len(probs):
         raise ScenarioFormatError(f"{where}: {len(probs)} probabilities for {len(support)} ids")
     total = float(sum(probs))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise ScenarioFormatError(f"{where}: probabilities sum to {total!r}, not 1")
     try:
         return LogDist.from_probs(tuple(sorted(support)), probs)

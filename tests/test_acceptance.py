@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bilingual_oracle import pco_objective
 from golden_pipeline import GOLDEN_FILES, run_benchmark_pipeline
 
 from xlconsist.core import (
@@ -34,7 +35,6 @@ from xlconsist.objectives import (
     closed_form_optimum,
     n_language_objective,
     n_language_optimum,
-    pco_objective,
     policy_kernels,
     round_trip_target,
     target_table,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -122,11 +123,34 @@ class TestEval:
         assert run("eval", "--scenario", bench, "--policy",
                    tmp_path / "missing.json", "--out", tmp_path / "m.json") == 1
 
-    def test_invalid_scenario_exits_one(self, tmp_path):
+    def test_invalid_scenario_exits_one(self, bench, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert run("eval", "--scenario", bad, "--policy", "ref",
                    "--out", tmp_path / "m.json") == 1
+
+        # NaN fails every range check it meets; each must still be caught
+        # and the field named, never end in a traceback
+        def set_nan(doc, *path):
+            *head, last = path
+            for key in head:
+                doc = doc[key]
+            doc[last] = math.nan
+
+        nan_cases = {
+            "ref_kernels": ("ref_kernels", 0, "rows", 0, "probs", 0),
+            "translator": ("translators", 0, "rows", 0, "probs", 0),
+            "priors": ("priors", 0, "probs", 0),
+            "strengths": ("strengths", "u", 1),
+        }
+        for field, path in nan_cases.items():
+            doc = json.loads(bench.read_text())
+            set_nan(doc, *path)
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("eval", "--scenario", bad, "--policy", "optimum",
+                       "--out", tmp_path / "m.json") == 1, field
+            assert field in capsys.readouterr().err, field
 
 
 class TestVerify:

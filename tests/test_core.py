@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from xlconsist.core import (
@@ -126,6 +126,9 @@ class TestAnneal:
         np.testing.assert_allclose(lhs.probs, rhs.probs, atol=1e-9)
 
     @given(distributions(), st.floats(min_value=0.01, max_value=100.0))
+    # both small masses underflow to 0.0 at this temperature; their
+    # log-probabilities stay apart and must keep the order
+    @example(d=LogDist.from_probs((0, 1, 2), [0.999989, 1e-6, 1e-5]), t=65.0)
     def test_preserves_ranking(self, d, t):
         # near-ulp ties can collapse into exact ties under T < 1; the
         # monotone-transform claim is about separated probabilities

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from bilingual_oracle import dco_log_targets, pco_objective, pco_total
 from conftest import tiny_bilingual, tiny_trilingual
 
 from xlconsist.core import LogDist, StructuralError, forward_kl, total_variation
@@ -16,14 +17,11 @@ from xlconsist.objectives import (
     LogitTable,
     MonteCarloConfig,
     closed_form_optimum,
-    dco_log_targets,
     dco_loss,
     initial_logits,
     n_language_log_targets,
     n_language_objective,
     n_language_optimum,
-    pco_objective,
-    pco_total,
     policy_kernels,
     prior_weights,
     round_trip_target,
@@ -174,7 +172,7 @@ class TestClosedFormOptimum:
 class TestDcoTargets:
     def test_frozen_values(self):
         # oracle: log 0.32 and log 0.12
-        t = dco_log_targets(WORLD, prompt=0, lang=0)
+        t = n_language_log_targets(WORLD, prompt=0, lang=0)
         np.testing.assert_allclose(
             t, [-1.1394342831883648, -2.120263536200091], rtol=1e-12
         )
@@ -192,7 +190,7 @@ class TestDcoTargets:
         # the round trip reproduces the reference row itself, so the
         # targets are exactly twice its log-probabilities
         world = tiny_bilingual([0.8, 0.2], [0.8, 0.2])
-        t = dco_log_targets(world, prompt=0, lang=0)
+        t = n_language_log_targets(world, prompt=0, lang=0)
         np.testing.assert_allclose(t, 2.0 * world.ref[0].row(0).logp, rtol=1e-12)
 
 

@@ -5,7 +5,12 @@ import pytest
 from conftest import tiny_bilingual
 
 from xlconsist.core import LogDist, StochasticKernel, total_variation
-from xlconsist.objectives import LogitTable, closed_form_optimum, target_table
+from xlconsist.objectives import (
+    LogitTable,
+    closed_form_optimum,
+    n_language_optimum,
+    target_table,
+)
 from xlconsist.optim import (
     METHOD_DCO,
     METHOD_REINFORCE,
@@ -14,7 +19,6 @@ from xlconsist.optim import (
     fit_dco,
     fit_pco_reinforce,
     gradient_check,
-    reference_optimum,
 )
 from xlconsist.scenario import (
     Alignment,
@@ -175,7 +179,7 @@ class TestFitReinforce:
     def test_fitted_policy_reaches_perfect_ranking_agreement(self):
         from xlconsist.metrics import rankc_report
         s = generate(BENCH)
-        opt = reference_optimum(s)
+        opt = n_language_optimum(s)
         policy, _ = fit_pco_reinforce(s, OptimizerConfig(
             method=METHOD_REINFORCE, step_size=0.15, max_iters=3000,
             batch=8, rollouts=256, seed=5))

@@ -1,6 +1,7 @@
 """Scenario generation, validation, and file round-trip tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,10 @@ class TestStrengthConfig:
             StrengthConfig((1.0, -1.0), (1.0, 1.0))
         with pytest.raises(ValueError):
             StrengthConfig((0.0,), (1.0,))
+        with pytest.raises(ValueError):
+            StrengthConfig((1.0, math.nan), (1.0, 1.0))
+        with pytest.raises(ValueError):
+            StrengthConfig((1.0,), (math.nan,))
 
     def test_balance_detection(self):
         assert StrengthConfig((1.0, 2.0), (1.0, 0.5)).is_balanced()
@@ -192,6 +197,14 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioFormatError, match="sum"):
             load(path)
+        # a NaN sum compares false against any bound; it must still fail
+        for key, where in (("ref_kernels", r"ref_kernels\[0\]"),
+                           ("translators", r"translator \(0,1\)")):
+            bad = scenario_to_dict(generate(BIJ))
+            bad[key][0]["rows"][0]["probs"][0] = math.nan
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ScenarioFormatError, match=where + ".*sum"):
+                load(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
         doc = scenario_to_dict(generate(BIJ))
