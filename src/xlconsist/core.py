@@ -223,9 +223,6 @@ class StochasticKernel:
                 f"kernel {self.domain}->{self.codomain} has no row for ID {prompt_id}"
             ) from None
 
-    def prompt_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
-
     def is_deterministic(self) -> bool:
         """True iff every row is an exact point mass."""
         return all(

@@ -244,10 +244,6 @@ def accuracy(pi: StochasticKernel, gold: Mapping[int, int]) -> float:
     return hits / len(prompts)
 
 
-def correct_set(pi: StochasticKernel, gold: Mapping[int, int]) -> set[int]:
-    return {p for p in pi.rows if pi.row(p).argmax() == gold[p]}
-
-
 def jaccard_correct_overlap(
     pi1: StochasticKernel,
     pi2: StochasticKernel,

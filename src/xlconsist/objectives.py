@@ -9,6 +9,11 @@ Two equivalent routes to the same optimum are implemented side by side:
   optimum, so matching unnormalized scores to them (any norm) recovers it
   without ever estimating a normalizer.
 
+Both rest on the round-trip target of each prompt through each other
+language.  ``round_trip_targets`` builds them once, exact or Monte-Carlo;
+the optimum carries that map, and every other consumer takes it as an
+argument rather than recomputing it.
+
 The optimum itself is the strength-weighted geometric mean of the
 reference row and its round-trip target row, computed entirely in log
 space.  Zero-mass target entries would drive the geometric mean to minus
@@ -24,7 +29,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -194,6 +199,21 @@ def round_trip_target(
     return LogDist.from_probs(support, counts / mc.samples).floored()
 
 
+def round_trip_targets(
+    scenario: Scenario, mc: MonteCarloConfig | None = None
+) -> dict[tuple[int, int, int], LogDist]:
+    """Every round-trip target of the scenario, keyed by (lang, via, prompt).
+
+    Each is computed once; Monte-Carlo targets reseed from ``mc.seed`` per
+    target, so the map does not depend on the order they are built in."""
+    return {
+        (lang, via, prompt): round_trip_target(scenario, lang, via, prompt, mc=mc)
+        for lang in scenario.lang_ids
+        for via in _routes(scenario, lang)
+        for prompt in scenario.space(lang).prompts
+    }
+
+
 # ---------------------------------------------------------------------------
 # objective
 
@@ -231,12 +251,11 @@ def n_language_objective(
     scenario: Scenario,
     prompt: int,
     lang: int,
-    targets: Mapping[int, LogDist] | None = None,
+    targets: Mapping[tuple[int, int, int], LogDist],
 ) -> PcoValue:
     """One prompt's penalized value: KL to the reference minus one
     strength-weighted expected log round-trip likelihood per other
-    language, all under the candidate policy.  ``targets`` maps each other
-    language to a precomputed round-trip target."""
+    language, all under the candidate policy."""
     _check_prompt(scenario, prompt, lang)
     t_row = theta.row(prompt)
     ref_row = scenario.ref[lang].row(prompt)
@@ -248,10 +267,7 @@ def n_language_objective(
     )
     reward = 0.0
     for via in _routes(scenario, lang):
-        target = targets.get(via) if targets is not None else None
-        if target is None:
-            target = round_trip_target(scenario, lang, via, prompt)
-        e = _expectation_terms(t_row, _logp_at(target, t_row.support))
+        e = _expectation_terms(t_row, _logp_at(targets[(lang, via, prompt)], t_row.support))
         if e == -math.inf:
             reward = -math.inf
             break
@@ -263,22 +279,16 @@ def n_language_objective(
 def n_language_total(
     theta_by_lang: Mapping[int, StochasticKernel],
     scenario: Scenario,
-    targets: Mapping[tuple[int, int, int], LogDist] | None = None,
+    targets: Mapping[tuple[int, int, int], LogDist],
 ) -> float:
-    """The full prior-weighted objective over every language; ``targets``
-    is keyed by (lang, via, prompt)."""
+    """The full prior-weighted objective over every language."""
     total = 0.0
     for lang in scenario.lang_ids:
         prior = scenario.priors[lang]
         for prompt, mass in zip(prior.support, prior.probs):
             if mass == 0.0:
                 continue
-            per_route = None
-            if targets is not None:
-                per_route = {via: targets[(lang, via, prompt)]
-                             for via in _routes(scenario, lang)}
-            val = n_language_objective(theta_by_lang[lang], scenario, prompt, lang,
-                                       targets=per_route)
+            val = n_language_objective(theta_by_lang[lang], scenario, prompt, lang, targets)
             total += mass * val.total
     return total
 
@@ -292,12 +302,14 @@ class ClosedFormOptimum:
     """The optimum policy with its per-prompt log-normalizers.
 
     ``floored`` lists (lang, prompt) rows where a zero-mass round-trip
-    target had to be lifted to the floor before tilting.
+    target had to be lifted to the floor before tilting; ``targets`` is the
+    round-trip target map the reference was tilted by.
     """
 
     policy: Mapping[int, StochasticKernel]
     log_normalizers: Mapping[int, float]
-    floored: tuple[tuple[int, int], ...] = field(default=())
+    floored: tuple[tuple[int, int], ...]
+    targets: Mapping[tuple[int, int, int], LogDist]
 
     def row(self, scenario_lang: int, prompt: int) -> LogDist:
         return self.policy[scenario_lang].row(prompt)
@@ -324,21 +336,20 @@ def n_language_optimum(
 ) -> ClosedFormOptimum:
     """Product-of-powers optimum: the reference row tilted by every other
     language's round-trip target raised to the pairwise strength."""
+    targets = round_trip_targets(scenario, mc)
     policy, log_norm, floored = {}, {}, []
     for lang in scenario.lang_ids:
         rows = {}
         for prompt in scenario.space(lang).prompts:
-            tilts = [
-                (scenario.beta(lang, via), round_trip_target(scenario, lang, via, prompt, mc=mc))
-                for via in _routes(scenario, lang)
-            ]
+            tilts = [(scenario.beta(lang, via), targets[(lang, via, prompt)])
+                     for via in _routes(scenario, lang)]
             row, log_z, used = _tilted_row(scenario.ref[lang].row(prompt), tilts)
             rows[prompt] = row
             log_norm[prompt] = log_z
             if used:
                 floored.append((lang, prompt))
         policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
-    return ClosedFormOptimum(policy, log_norm, tuple(floored))
+    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets)
 
 
 def closed_form_optimum(
@@ -361,7 +372,7 @@ def n_language_log_targets(
     scenario: Scenario,
     prompt: int,
     lang: int,
-    mc: MonteCarloConfig | None = None,
+    targets: Mapping[tuple[int, int, int], LogDist],
 ) -> np.ndarray:
     """Per-candidate regression targets: log reference plus, for every other
     language, the strength times the log round-trip target, all floored
@@ -370,19 +381,20 @@ def n_language_log_targets(
     ref_row = scenario.ref[lang].row(prompt)
     out = np.maximum(ref_row.logp, LOG_EPS).copy()
     for via in _routes(scenario, lang):
-        target = round_trip_target(scenario, lang, via, prompt, mc=mc)
-        log_t = np.maximum(_logp_at(target, ref_row.support), LOG_EPS)
+        log_t = np.maximum(_logp_at(targets[(lang, via, prompt)], ref_row.support), LOG_EPS)
         out += scenario.beta(lang, via) * log_t
     return out
 
 
-def target_table(scenario: Scenario, mc: MonteCarloConfig | None = None) -> LogitTable:
+def target_table(
+    scenario: Scenario, targets: Mapping[tuple[int, int, int], LogDist]
+) -> LogitTable:
     """Regression targets for every prompt of every language."""
     supports, rows = {}, {}
     for lang in scenario.lang_ids:
         for prompt in scenario.space(lang).prompts:
             supports[prompt] = scenario.ref[lang].row(prompt).support
-            rows[prompt] = n_language_log_targets(scenario, prompt, lang, mc=mc)
+            rows[prompt] = n_language_log_targets(scenario, prompt, lang, targets)
     return LogitTable(supports, rows)
 
 

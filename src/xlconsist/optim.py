@@ -34,6 +34,7 @@ from xlconsist.objectives import (
     n_language_optimum,
     policy_kernels,
     prior_weights,
+    round_trip_targets,
     target_table,
 )
 from xlconsist.scenario import Scenario
@@ -124,11 +125,10 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
     """
     if config.method != METHOD_DCO:
         raise ValueError(f"fit_dco requires method {METHOD_DCO!r}")
-    targets = target_table(scenario)
-    weights = prior_weights(scenario)
     optimum = n_language_optimum(scenario)
-    opt_rows = {p: optimum.row(scenario.lang_of_prompt(p), p)
-                for p in targets.prompts()}
+    targets = target_table(scenario, optimum.targets)
+    weights = prior_weights(scenario)
+    opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
 
     init = initial_logits(scenario)
     z = {p: init.rows[p].copy() for p in init.prompts()}
@@ -226,11 +226,10 @@ def fit_pco_reinforce(
     if config.method != METHOD_REINFORCE:
         raise ValueError(f"fit_pco_reinforce requires method {METHOD_REINFORCE!r}")
     rng = np.random.default_rng(config.seed)
-    targets = target_table(scenario)
-    weights = prior_weights(scenario)
     optimum = n_language_optimum(scenario)
-    opt_rows = {p: optimum.row(scenario.lang_of_prompt(p), p)
-                for p in targets.prompts()}
+    targets = target_table(scenario, optimum.targets)
+    weights = prior_weights(scenario)
+    opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
 
     init = initial_logits(scenario)
     z = {p: init.rows[p].copy() for p in init.prompts()}
@@ -325,7 +324,7 @@ def gradient_check(
     set-valued there); if every coordinate sits near a kink the check is
     inconclusive rather than falsely reassuring.
     """
-    targets = target_table(scenario)
+    targets = target_table(scenario, round_trip_targets(scenario))
     weights = prior_weights(scenario)
 
     def loss_of(table: LogitTable) -> float:

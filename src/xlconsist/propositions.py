@@ -5,6 +5,9 @@ when its preconditions are not met (unbalanced strengths, leaky
 translators, too few languages).  The checks are deliberately independent
 of the optimizers: they evaluate objectives and divergences directly.
 
+The checks read the round-trip targets the optimum carries instead of
+recomputing them, so ``run_checks`` builds each target once.
+
 ``corrupt_exponent`` exists for self-testing the harness: it rebuilds the
 optimum with every strength weight off by one, which a sound minimality
 check must reject.
@@ -37,7 +40,6 @@ from xlconsist.objectives import (
     n_language_optimum,
     n_language_total,
     prior_weights,
-    round_trip_target,
     target_table,
     _tilted_row,
 )
@@ -97,21 +99,12 @@ def corrupt_exponent(s: Scenario, optimum: ClosedFormOptimum) -> ClosedFormOptim
     for lang in s.lang_ids:
         rows = {}
         for prompt in s.space(lang).prompts:
-            tilts = [(s.beta(lang, via) + 1.0, round_trip_target(s, lang, via, prompt))
+            tilts = [(s.beta(lang, via) + 1.0, optimum.targets[(lang, via, prompt)])
                      for via in s.lang_ids if via != lang]
             rows[prompt], _, _ = _tilted_row(s.ref[lang].row(prompt), tilts)
             log_norm[prompt] = 0.0
         policy[lang] = StochasticKernel(lang, lang, rows)
-    return ClosedFormOptimum(policy, log_norm, optimum.floored)
-
-
-def _precompute_targets(s: Scenario) -> dict:
-    return {
-        (lang, via, prompt): round_trip_target(s, lang, via, prompt)
-        for lang in s.lang_ids
-        for via in s.lang_ids if via != lang
-        for prompt in s.space(lang).prompts
-    }
+    return ClosedFormOptimum(policy, log_norm, optimum.floored, optimum.targets)
 
 
 def _minimality(
@@ -121,13 +114,12 @@ def _minimality(
     n_perturbations: int = 100,
     seed: int = 0,
 ) -> CheckResult:
-    targets = _precompute_targets(s)
-    best = n_language_total(optimum.policy, s, targets=targets)
+    best = n_language_total(optimum.policy, s, optimum.targets)
     rng = np.random.default_rng(seed)
     worst_margin = math.inf
     for _ in range(n_perturbations):
         perturbed = {lang: _perturbed_rows(k, rng) for lang, k in optimum.policy.items()}
-        margin = n_language_total(perturbed, s, targets=targets) - best
+        margin = n_language_total(perturbed, s, optimum.targets) - best
         worst_margin = min(worst_margin, margin)
         if margin <= 0:
             return CheckResult(check_id, "fail", "a perturbation matched or beat the optimum",
@@ -179,7 +171,7 @@ def check_logit_target_equivalence(s: Scenario, optimum=None) -> CheckResult:
     cid = "logit-target-equivalence"
     if optimum is None:
         optimum = n_language_optimum(s)
-    targets = target_table(s)
+    targets = target_table(s, optimum.targets)
     worst = 0.0
     for lang in s.lang_ids:
         for p in s.space(lang).prompts:
@@ -255,9 +247,9 @@ def check_multi_language_consistency(s: Scenario, optimum=None, tol: float = 1e-
 def run_checks(s: Scenario, self_test: bool = False) -> list[CheckResult]:
     """Run every check; with ``self_test`` the optimum is corrupted first,
     which a working minimality check must catch."""
-    optimum = None
+    optimum = n_language_optimum(s)
     if self_test:
-        optimum = corrupt_exponent(s, n_language_optimum(s))
+        optimum = corrupt_exponent(s, optimum)
     results = [
         check_optimum_minimality(s, optimum=optimum),
         check_optimum_consistency(s, optimum=optimum),

@@ -140,9 +140,6 @@ class Alignment:
             tuple(tuple(tuple(c) for c in grp) for grp in self.candidate_tuples),
         )
 
-    def n_groups(self) -> int:
-        return len(self.prompt_tuples)
-
     def prompt_map(self, m: int, n: int) -> dict[int, int]:
         return {t[m]: t[n] for t in self.prompt_tuples}
 
@@ -161,10 +158,11 @@ class Alignment:
 class StrengthConfig:
     """Rank-one strength parameterization: pair (m, n) gets weight u[m]*v[n].
 
-    Positivity is enforced; the diagonal condition u[m]*v[m] = 1 (which in
-    the bilingual case makes the two cross weights multiply to one) is a
-    reported property, not a constructor requirement, so that deliberately
-    unbalanced configurations remain expressible.
+    Positive, finite entries with finite products are enforced; the diagonal
+    condition u[m]*v[m] = 1 (which in the bilingual case makes the two cross
+    weights multiply to one) is a reported property, not a constructor
+    requirement, so that deliberately unbalanced configurations remain
+    expressible.
     """
 
     u: tuple[float, ...]
@@ -177,8 +175,10 @@ class StrengthConfig:
             raise ValueError("u and v must have equal length")
         if not u:
             raise ValueError("strength vectors must be non-empty")
-        if not all(x > 0 for x in u + v):  # also rejects NaN
-            raise ValueError("strength entries must be positive")
+        if not all(0 < x < math.inf for x in u + v):  # also rejects NaN
+            raise ValueError("strength entries must be positive and finite")
+        if not all(a * b < math.inf for a in u for b in v):
+            raise ValueError("strength products u[m]*v[n] must be finite")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -258,12 +258,6 @@ class Scenario:
                 return i
         raise StructuralError(f"no language with ID {lang_id}")
 
-    def lang_of_prompt(self, prompt_id: int) -> int:
-        for s in self.spaces:
-            if prompt_id in s.candidates:
-                return s.lang_id
-        raise StructuralError(f"prompt {prompt_id} belongs to no language")
-
     def translator(self, from_lang: int, to_lang: int) -> StochasticKernel:
         try:
             return self.translators[(from_lang, to_lang)]
@@ -317,6 +311,9 @@ class GeneratorConfig:
         for name, vec in (("u", self.u), ("v", self.v)):
             if vec is not None and len(vec) != self.n_langs:
                 raise ValueError(f"{name} must have one entry per language")
+        # fail here, not inside generate(), on strengths it could not build
+        ones = (1.0,) * self.n_langs
+        StrengthConfig(ones if self.u is None else self.u, ones if self.v is None else self.v)
 
 
 def _translator_row(target_ids: Sequence[int], on: int, noise: float) -> LogDist:

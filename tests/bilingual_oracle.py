@@ -108,7 +108,7 @@ def bilingual_optimum(
     """Per prompt, the reference row tilted by the one round-trip target
     raised to that language's cross weight; a zero-mass target entry is
     lifted to the floor and the row flagged."""
-    policy, log_norm, floored = {}, {}, []
+    policy, log_norm, floored, targets = {}, {}, [], {}
     for lang in scenario.lang_ids:
         via = _other_lang(scenario, lang)
         beta = scenario.beta(lang, via)
@@ -116,6 +116,7 @@ def bilingual_optimum(
         for prompt in scenario.space(lang).prompts:
             ref_row = scenario.ref[lang].row(prompt)
             target = round_trip_target(scenario, lang, via, prompt, mc=mc)
+            targets[(lang, via, prompt)] = target
             log_t = _logp_at(target, ref_row.support)
             if np.any((log_t < LOG_EPS) & (ref_row.probs > 0)):
                 log_t = np.maximum(log_t, LOG_EPS)
@@ -124,4 +125,4 @@ def bilingual_optimum(
             rows[prompt] = LogDist.from_logp(ref_row.support, unnorm)
             log_norm[prompt] = logsumexp(unnorm)
         policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
-    return ClosedFormOptimum(policy, log_norm, tuple(floored))
+    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets)

@@ -29,7 +29,7 @@ from xlconsist.objectives import (
     initial_logits,
     n_language_optimum,
     n_language_total,
-    round_trip_target,
+    round_trip_targets,
     target_table,
 )
 from xlconsist.optim import (
@@ -98,19 +98,13 @@ def _trace(trace) -> str:
     return _text([rows, trace.converged, trace.diagnostic])
 
 
-def _targets(s: Scenario, mc: MonteCarloConfig | None) -> dict:
-    return {(lang, via, p): round_trip_target(s, lang, via, p, mc=mc)
-            for lang in s.lang_ids for via in s.lang_ids if via != lang
-            for p in s.space(lang).prompts}
-
-
 def _route_fingerprints(s: Scenario, mc: MonteCarloConfig | None) -> dict[str, str]:
     """Quantities that depend on whether targets are exact or estimated."""
-    targets = _targets(s, mc)
+    targets = round_trip_targets(s, mc)
     keys = sorted(targets)
     opt = n_language_optimum(s, mc=mc)
     rows = [(lang, p) for lang in s.lang_ids for p in s.space(lang).prompts]
-    table = target_table(s, mc=mc)
+    table = target_table(s, targets)
     return {
         "targets.support": _text([list(targets[k].support) for k in keys]),
         "targets.probs": _arrays(targets[k].probs for k in keys),
@@ -120,8 +114,8 @@ def _route_fingerprints(s: Scenario, mc: MonteCarloConfig | None) -> dict[str, s
         "optimum.log_normalizers": _arrays([opt.log_normalizers[p] for _, p in rows]),
         "optimum.floored": _text(opt.floored),
         "target_table.rows": _arrays(table.rows[p] for _, p in rows),
-        "total.ref": _arrays([n_language_total(dict(s.ref), s, targets=targets)]),
-        "total.optimum": _arrays([n_language_total(opt.policy, s, targets=targets)]),
+        "total.ref": _arrays([n_language_total(dict(s.ref), s, targets)]),
+        "total.optimum": _arrays([n_language_total(opt.policy, s, targets)]),
     }
 
 

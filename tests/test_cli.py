@@ -40,6 +40,8 @@ class TestGen:
 
     def test_zero_candidates_exits_one(self, tmp_path):
         assert run("gen", "--cands", 0, "--out", tmp_path / "x.json") == 1
+        for u, v in (("1,-1", "1,1"), ("1,inf", "1,1"), ("1,1e308", "1,1e308")):
+            assert run("gen", "--u", u, "--v", v, "--out", tmp_path / "x.json") == 1
 
     def test_bad_translator_spec_exits_one(self, tmp_path):
         assert run("gen", "--translator", "noisy:lots", "--out", tmp_path / "x.json") == 1
@@ -151,6 +153,16 @@ class TestEval:
             assert run("eval", "--scenario", bad, "--policy", "optimum",
                        "--out", tmp_path / "m.json") == 1, field
             assert field in capsys.readouterr().err, field
+
+        # an infinite strength, or finite ones whose product overflows
+        for u1, v1 in ((math.inf, 1.0), (1e308, 1e308)):
+            doc = json.loads(bench.read_text())
+            doc["strengths"]["u"][1], doc["strengths"]["v"][1] = u1, v1
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("eval", "--scenario", bad, "--policy", "optimum",
+                       "--out", tmp_path / "m.json") == 1, u1
+            assert "strengths" in capsys.readouterr().err, u1
 
 
 class TestVerify:

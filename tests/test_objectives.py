@@ -11,6 +11,7 @@ import pytest
 from bilingual_oracle import dco_log_targets, pco_objective, pco_total
 from conftest import tiny_bilingual, tiny_trilingual
 
+from xlconsist import objectives
 from xlconsist.core import LogDist, StructuralError, forward_kl, total_variation
 from xlconsist.objectives import (
     ClosedFormOptimum,
@@ -25,8 +26,17 @@ from xlconsist.objectives import (
     policy_kernels,
     prior_weights,
     round_trip_target,
+    round_trip_targets,
     target_table,
 )
+from xlconsist.optim import (
+    METHOD_DCO,
+    METHOD_REINFORCE,
+    OptimizerConfig,
+    fit_dco,
+    fit_pco_reinforce,
+)
+from xlconsist.propositions import run_checks
 from xlconsist.scenario import GeneratorConfig, generate
 
 
@@ -172,7 +182,8 @@ class TestClosedFormOptimum:
 class TestDcoTargets:
     def test_frozen_values(self):
         # oracle: log 0.32 and log 0.12
-        t = n_language_log_targets(WORLD, prompt=0, lang=0)
+        t = n_language_log_targets(WORLD, prompt=0, lang=0,
+                                   targets=round_trip_targets(WORLD))
         np.testing.assert_allclose(
             t, [-1.1394342831883648, -2.120263536200091], rtol=1e-12
         )
@@ -190,7 +201,8 @@ class TestDcoTargets:
         # the round trip reproduces the reference row itself, so the
         # targets are exactly twice its log-probabilities
         world = tiny_bilingual([0.8, 0.2], [0.8, 0.2])
-        t = n_language_log_targets(world, prompt=0, lang=0)
+        t = n_language_log_targets(world, prompt=0, lang=0,
+                                   targets=round_trip_targets(world))
         np.testing.assert_allclose(t, 2.0 * world.ref[0].row(0).logp, rtol=1e-12)
 
 
@@ -251,10 +263,11 @@ class TestNLanguage:
         s = generate(GeneratorConfig(n_langs=2, n_prompts=4, n_candidates=3, seed=6,
                                      u=(1.0, 2.0), v=(1.0, 0.5)))
         theta = policy_kernels(initial_logits(s), s)
+        targets = round_trip_targets(s)
         for lang in s.lang_ids:
             for p in s.space(lang).prompts:
                 a = pco_objective(theta[lang], s, p, lang)
-                b = n_language_objective(theta[lang], s, p, lang)
+                b = n_language_objective(theta[lang], s, p, lang, targets)
                 assert abs(a.total - b.total) <= 1e-12
                 assert abs(a.fidelity - b.fidelity) <= 1e-12
 
@@ -286,7 +299,7 @@ class TestNLanguage:
         s3 = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=12))
         opt = n_language_optimum(s3)
         from xlconsist.objectives import n_language_total
-        best = n_language_total(opt.policy, s3)
+        best = n_language_total(opt.policy, s3, opt.targets)
         rng = np.random.default_rng(0)
         for _ in range(100):
             perturbed = {}
@@ -298,14 +311,14 @@ class TestNLanguage:
                     mix = 0.97 * row.probs + 0.03 * q
                     rows[p] = LogDist.from_probs(row.support, mix / mix.sum())
                 perturbed[lang] = type(kern)(lang, lang, rows)
-            assert n_language_total(perturbed, s3) > best
+            assert n_language_total(perturbed, s3, opt.targets) > best
 
     def test_n_language_targets_match_optimum(self):
         s3 = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=12))
         opt = n_language_optimum(s3)
         for lang in s3.lang_ids:
             for p in s3.space(lang).prompts:
-                t = n_language_log_targets(s3, p, lang)
+                t = n_language_log_targets(s3, p, lang, opt.targets)
                 row = LogDist.from_logp(s3.ref[lang].row(p).support, t)
                 np.testing.assert_allclose(row.probs, opt.row(lang, p).probs, atol=1e-12)
 
@@ -324,7 +337,7 @@ class TestScenarioLevelHelpers:
 
     def test_target_table_covers_all_prompts(self):
         s = generate(GeneratorConfig(n_langs=2, n_prompts=3, n_candidates=2, seed=1))
-        table = target_table(s)
+        table = target_table(s, round_trip_targets(s))
         expected = {p for lang in s.lang_ids for p in s.space(lang).prompts}
         assert set(table.prompts()) == expected
 
@@ -334,3 +347,37 @@ class TestScenarioLevelHelpers:
         for lang in s.lang_ids:
             total = sum(w[p] for p in s.space(lang).prompts)
             assert abs(total - 1.0) < 1e-9
+
+
+class TestTargetsBuiltOnce:
+    """Every operation builds each (lang, via, prompt) target exactly once
+    and hands the map down, rather than each consumer recomputing it."""
+
+    WORLDS = {
+        "bilingual-noisy": GeneratorConfig(n_langs=2, n_prompts=4, n_candidates=6,
+                                           translator_mode="noisy", noise=0.2, seed=31),
+        "trilingual": GeneratorConfig(n_langs=3, n_prompts=3, n_candidates=4, seed=32),
+    }
+    OPERATIONS = {
+        "fit_dco": lambda s: fit_dco(s, OptimizerConfig(METHOD_DCO, max_iters=20)),
+        "fit_pco_reinforce": lambda s: fit_pco_reinforce(
+            s, OptimizerConfig(METHOD_REINFORCE, max_iters=3, batch=2, rollouts=8)),
+        "run_checks": lambda s: run_checks(s),
+        "run_checks-self-test": lambda s: run_checks(s, self_test=True),
+    }
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    def test_one_call_per_distinct_target(self, monkeypatch, world, operation):
+        s = generate(self.WORLDS[world])
+        calls = []
+
+        def counting(scenario, lang, via, prompt, mc=None):
+            calls.append((lang, via, prompt))
+            return round_trip_target(scenario, lang, via, prompt, mc=mc)
+
+        monkeypatch.setattr(objectives, "round_trip_target", counting)
+        self.OPERATIONS[operation](s)
+        distinct = {(lang, via, p) for lang in s.lang_ids for via in s.lang_ids
+                    if via != lang for p in s.space(lang).prompts}
+        assert sorted(calls) == sorted(distinct)

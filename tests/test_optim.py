@@ -9,6 +9,7 @@ from xlconsist.objectives import (
     LogitTable,
     closed_form_optimum,
     n_language_optimum,
+    round_trip_targets,
     target_table,
 )
 from xlconsist.optim import (
@@ -192,7 +193,7 @@ class TestFitReinforce:
 class TestGradientCheck:
     def test_smooth_region_l1(self):
         s = generate(BENCH)
-        targets = target_table(s)
+        targets = target_table(s, round_trip_targets(s))
         rng = np.random.default_rng(0)
         rows = {p: targets.rows[p] + rng.uniform(0.2, 1.0, len(targets.rows[p]))
                 * rng.choice([-1.0, 1.0], len(targets.rows[p]))
@@ -204,7 +205,7 @@ class TestGradientCheck:
 
     def test_l2_everywhere(self):
         s = generate(BENCH)
-        targets = target_table(s)
+        targets = target_table(s, round_trip_targets(s))
         rng = np.random.default_rng(1)
         rows = {p: targets.rows[p] + rng.normal(0, 0.5, len(targets.rows[p]))
                 for p in targets.prompts()}
@@ -215,6 +216,6 @@ class TestGradientCheck:
 
     def test_at_targets_is_inconclusive(self):
         s = generate(BENCH)
-        res = gradient_check(s, target_table(s), h=1e-5)
+        res = gradient_check(s, target_table(s, round_trip_targets(s)), h=1e-5)
         assert res.status == "inconclusive"
         assert res.max_rel_error is None

@@ -66,6 +66,10 @@ class TestStrengthConfig:
             StrengthConfig((1.0, math.nan), (1.0, 1.0))
         with pytest.raises(ValueError):
             StrengthConfig((1.0,), (math.nan,))
+        with pytest.raises(ValueError):
+            StrengthConfig((1.0, math.inf), (1.0, 1.0))
+        with pytest.raises(ValueError):
+            StrengthConfig((1.0, 1e308), (1.0, 1e308))
 
     def test_balance_detection(self):
         assert StrengthConfig((1.0, 2.0), (1.0, 0.5)).is_balanced()

@@ -2,9 +2,9 @@
 product-of-powers path the package implements.
 
 With two languages the N-language objective, total, regression targets and
-optimum must reproduce the hand-written two-weight formulas in
-``bilingual_oracle`` bit for bit, not merely to a tolerance: every output
-the package writes depends on them.  The worlds span bijective and noisy
+optimum, and the round-trip targets the optimum carries, must reproduce the
+hand-written two-weight formulas in ``bilingual_oracle`` bit for bit, not
+merely to a tolerance: every output the package writes depends on them.  The worlds span bijective and noisy
 translators, balanced and unbalanced strengths, sharp and diffuse reference
 rows, uniform and skewed priors, and exact and Monte-Carlo round trips.
 """
@@ -22,7 +22,7 @@ from xlconsist.objectives import (
     n_language_objective,
     n_language_optimum,
     n_language_total,
-    round_trip_target,
+    round_trip_targets,
     target_table,
 )
 from xlconsist.scenario import GeneratorConfig, generate
@@ -66,8 +66,17 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _assert_same_dist(a, b):
+    assert a.support == b.support
+    assert _bits(a.probs) == _bits(b.probs)
+    assert _bits(a.logp) == _bits(b.logp)
+
+
 def _assert_same_optimum(a, b):
     assert a.floored == b.floored
+    assert a.targets.keys() == b.targets.keys()
+    for key, target in a.targets.items():
+        _assert_same_dist(target, b.targets[key])
     assert a.log_normalizers.keys() == b.log_normalizers.keys()
     for p in a.log_normalizers:
         assert _bits(a.log_normalizers[p]) == _bits(b.log_normalizers[p])
@@ -75,10 +84,7 @@ def _assert_same_optimum(a, b):
     for lang, kern in a.policy.items():
         assert kern.rows.keys() == b.policy[lang].rows.keys()
         for p, row in kern.rows.items():
-            other = b.row(lang, p)
-            assert row.support == other.support
-            assert _bits(row.probs) == _bits(other.probs)
-            assert _bits(row.logp) == _bits(other.logp)
+            _assert_same_dist(row, b.row(lang, p))
 
 
 def _assert_same_path(s, mc):
@@ -86,37 +92,32 @@ def _assert_same_path(s, mc):
     _assert_same_optimum(oracle_opt, n_language_optimum(s, mc=mc))
     _assert_same_optimum(oracle_opt, closed_form_optimum(s, mc=mc))
 
-    table = target_table(s, mc=mc)
+    targets = round_trip_targets(s, mc)
+    table = target_table(s, targets)
     for lang in s.lang_ids:
         for p in s.space(lang).prompts:
             expected = _bits(dco_log_targets(s, p, lang, mc=mc))
             assert _bits(table.rows[p]) == expected
-            assert _bits(n_language_log_targets(s, p, lang, mc=mc)) == expected
+            assert _bits(n_language_log_targets(s, p, lang, targets)) == expected
 
-    a, b = s.lang_ids
-    via = {a: b, b: a}
-    targets = {(lang, via[lang], p): round_trip_target(s, lang, via[lang], p, mc=mc)
-               for lang in s.lang_ids for p in s.space(lang).prompts}
     per_prompt = {(lang, p): t for (lang, _, p), t in targets.items()}
     rng = np.random.default_rng(s.seed)
     for theta in (dict(s.ref), dict(oracle_opt.policy), _random_policy(s, rng)):
         for lang in s.lang_ids:
             for p in s.space(lang).prompts:
                 t = per_prompt[(lang, p)]
-                pairs = [(pco_objective(theta[lang], s, p, lang, target=t),
-                          n_language_objective(theta[lang], s, p, lang,
-                                               targets={via[lang]: t}))]
-                if mc is None:  # the objective computes exact targets itself
-                    pairs.append((pco_objective(theta[lang], s, p, lang),
-                                  n_language_objective(theta[lang], s, p, lang)))
+                value = n_language_objective(theta[lang], s, p, lang, targets)
+                pairs = [(pco_objective(theta[lang], s, p, lang, target=t), value)]
+                if mc is None:  # the oracle computes exact targets itself
+                    pairs.append((pco_objective(theta[lang], s, p, lang), value))
                 for want, got in pairs:
                     assert _bits(got.fidelity) == _bits(want.fidelity)
                     assert _bits(got.reward_term) == _bits(want.reward_term)
                     assert _bits(got.total) == _bits(want.total)
-        assert _bits(n_language_total(theta, s, targets=targets)) == \
-            _bits(pco_total(theta, s, targets=per_prompt))
+        total = _bits(n_language_total(theta, s, targets))
+        assert total == _bits(pco_total(theta, s, targets=per_prompt))
         if mc is None:
-            assert _bits(n_language_total(theta, s)) == _bits(pco_total(theta, s))
+            assert total == _bits(pco_total(theta, s))
 
 
 @pytest.mark.parametrize("i", range(N_WORLDS))
