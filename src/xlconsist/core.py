@@ -159,11 +159,39 @@ def anneal(d: LogDist, temp: Temperature | float) -> LogDist:
     identity exact rather than merely within rounding.
     """
     t = temp.t if isinstance(temp, Temperature) else float(temp)
-    if not (t > 0):
-        raise ValueError(f"temperature must be positive, got {t}")
     if t == 1.0:
         return d
-    return LogDist.from_logp(d.support, t * d.logp)
+    logp, probs = anneal_rows(d.logp[None, :], np.array([t]))
+    return LogDist(d.support, probs[0], logp[0])
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`logsumexp` of each row of (n, k) ``a``, same bits; rows need a finite max."""
+    m = a.max(axis=1)
+    sums = np.exp(a - m[:, None]).sum(axis=1)
+    return m + np.array([math.log(s) for s in sums.tolist()])
+
+
+def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renormalized ``(logp, probs)`` of each row of an (n, k) array
+    annealed at its own temperature, with the bits and checks of
+    ``LogDist.from_logp``; unlike :func:`anneal`, it renormalizes at T = 1."""
+    bad = ~(temps > 0)
+    if bad.any():
+        raise ValueError(f"temperature must be positive, got {float(temps[bad][0])}")
+    lp = temps[:, None] * logp
+    if not (lp < math.inf).all():  # NaN or +inf
+        raise ValueError("log-weights must be finite or -inf")
+    if (lp.max(axis=1) == -math.inf).any():
+        raise ValueError("all log-weights are -inf")
+    lp = lp - _logsumexp_rows(lp)[:, None]
+    if (lp > 1e-12).any():
+        raise ValueError("log-probability above 0")
+    total = _logsumexp_rows(lp)
+    off = ~(np.abs(total) <= NORMALIZATION_TOL)
+    if off.any():
+        raise ValueError(f"distribution not normalized: logsumexp={float(total[off][0])!r}")
+    return lp, np.exp(lp)
 
 
 def entropy(d: LogDist) -> float:
@@ -296,6 +324,13 @@ _GENERATORS = {
 
 DIVERGENCE_KINDS = tuple(_GENERATORS)
 
+# summands of each masked divergence, as functions of (p, log p, q, log q)
+_TERMS = {
+    "forward-kl": lambda p, p_logp, q, q_logp: p * (p_logp - q_logp),
+    "reverse-kl": lambda p, p_logp, q, q_logp: q * (q_logp - p_logp),
+    "chi-square": lambda p, p_logp, q, q_logp: (p - q) ** 2 / q,
+}
+
 
 @dataclass(frozen=True)
 class DivergenceSpec:
@@ -325,30 +360,35 @@ def f_divergence(spec: DivergenceSpec, p: LogDist, q: LogDist) -> float:
         raise StructuralError(
             f"support mismatch: {p.support} vs {q.support}; embed() onto a shared universe first"
         )
-    pp, qq = p.probs, q.probs
-    kind = spec.kind
-    q_zero = qq == 0
-    p_zero = pp == 0
-    if kind == "forward-kl":
-        if np.any(q_zero & ~p_zero):
-            return INFINITE_DIVERGENCE
-        mask = ~p_zero
-        val = float(np.sum(pp[mask] * (p.logp[mask] - q.logp[mask])))
-    elif kind == "reverse-kl":
-        if np.any(p_zero & ~q_zero):
-            return INFINITE_DIVERGENCE
-        mask = ~q_zero
-        val = float(np.sum(qq[mask] * (q.logp[mask] - p.logp[mask])))
-    elif kind == "total-variation":
-        val = 0.5 * float(np.sum(np.abs(pp - qq)))
-    elif kind == "chi-square":
-        if np.any(q_zero & ~p_zero):
-            return INFINITE_DIVERGENCE
-        mask = ~q_zero
-        val = float(np.sum((pp[mask] - qq[mask]) ** 2 / qq[mask]))
-    else:  # pragma: no cover - guarded by DivergenceSpec
-        raise ValueError(kind)
-    return max(val, 0.0)
+    rows = f_divergence_rows(spec.kind, p.probs[None, :], p.logp[None, :],
+                             q.probs[None, :], q.logp[None, :])
+    return float(rows[0])
+
+
+def f_divergence_rows(
+    kind: str, p: np.ndarray, p_logp: np.ndarray, q_probs: np.ndarray, q_logp: np.ndarray
+) -> np.ndarray:
+    """D_f(p_i || q_i) for each row i of (n, k) arrays over a shared support.
+
+    A masked sum runs over a contiguous row of only the unmasked terms, so
+    it gives the bits of a 1-D sum; zero padding would regroup numpy's
+    pairwise sum."""
+    DivergenceSpec(kind)  # rejects an unknown kind
+    if kind == "total-variation":
+        return np.maximum(0.5 * np.abs(p - q_probs).sum(axis=1), 0.0)
+    p_zero, q_zero = p == 0, q_probs == 0
+    infinite = (p_zero & ~q_zero if kind == "reverse-kl" else q_zero & ~p_zero).any(axis=1)
+    mask = ~p_zero if kind == "forward-kl" else ~q_zero
+    val = np.full(len(p), INFINITE_DIVERGENCE)
+    counts = mask.sum(axis=1)
+    for c in set(counts[~infinite].tolist()):
+        rows = ~infinite & (counts == c)
+        sel = mask & rows[:, None]
+        # a subnormal q overflows a chi-square term to +inf, the right value
+        with np.errstate(over="ignore", divide="ignore"):
+            terms = _TERMS[kind](p[sel], p_logp[sel], q_probs[sel], q_logp[sel])
+        val[rows] = terms.reshape(int(rows.sum()), c).sum(axis=1)
+    return np.maximum(val, 0.0)
 
 
 def forward_kl(p: LogDist, q: LogDist) -> float:

@@ -5,8 +5,10 @@ its round trip through another language, re-tempered by the best
 temperature found: an existential over temperatures becomes a 1-D
 minimization over a log-spaced grid refined by golden-section search.
 Both directions of a prompt pair must pass for the pair to count as
-consistent.  A fixed-temperature mode bypasses the search so closed-form
-predictions can be tested at their exact exponents.
+consistent.  One search serves every direction of an evaluation, in
+lockstep on stacked arrays; each direction takes the steps it would take
+alone, so it gets the same bits.  A fixed-temperature mode bypasses the
+search so closed-form predictions can be tested at their exact exponents.
 
 RankC compares candidate *rankings* across two languages: top-j overlap
 weighted by exponentially decaying weights, so agreement among the most
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -26,10 +28,10 @@ from xlconsist.core import (
     LogDist,
     StochasticKernel,
     StructuralError,
-    anneal,
+    anneal_rows,
     embed,
     entropy,
-    f_divergence,
+    f_divergence_rows,
     round_trip,
 )
 from xlconsist.scenario import Scenario
@@ -37,6 +39,8 @@ from xlconsist.scenario import Scenario
 DEFAULT_T_GRID = np.geomspace(1e-3, 1e3, 61)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+_LOCKSTEP_DIRECTIONS = 512  # at most, so the grid step's arrays stay small
 
 
 @dataclass(frozen=True)
@@ -59,61 +63,105 @@ class ConsistencyReport:
             raise ValueError("satisfied flag contradicts the recorded divergence")
 
 
-def _minimize_over_temperature(
-    objective: Callable[[float], float],
-    t_grid: np.ndarray,
-    fixed_t: float | None,
-) -> tuple[float, float]:
-    """Smallest objective value over temperatures and its argmin."""
+def _golden_section(grid: np.ndarray, fixed_t: float | None):
+    """One direction's search as a generator: it yields the temperatures it
+    needs, is sent their divergences and returns ``(smallest divergence,
+    its temperature)``.  The grid goes in one request; golden-section search
+    on log-temperature then refines around its argmin to width 1e-6."""
     if fixed_t is not None:
-        return objective(fixed_t), fixed_t
-    grid = np.asarray(t_grid, dtype=float)
+        (val,) = yield (fixed_t,)
+        return val, fixed_t
     if grid.size == 0:
         raise ValueError("temperature grid is empty")
-    values = [objective(float(t)) for t in grid]
+    values = yield grid
     k = int(np.argmin(values))
     best_val, best_t = values[k], float(grid[k])
     lo = math.log(grid[max(k - 1, 0)])
     hi = math.log(grid[min(k + 1, grid.size - 1)])
     if hi - lo > 0:
-        # golden-section on log-temperature down to relative width 1e-6
         a, b = lo, hi
         c = b - _INV_PHI * (b - a)
         d = a + _INV_PHI * (b - a)
-        fc, fd = objective(math.exp(c)), objective(math.exp(d))
+        fc, fd = yield (math.exp(c), math.exp(d))
         while b - a > 1e-6:
             if fc <= fd:
                 b, d, fd = d, c, fc
                 c = b - _INV_PHI * (b - a)
-                fc = objective(math.exp(c))
+                (fc,) = yield (math.exp(c),)
             else:
                 a, c, fc = c, d, fd
                 d = a + _INV_PHI * (b - a)
-                fd = objective(math.exp(d))
+                (fd,) = yield (math.exp(d),)
             for x, fx in ((c, fc), (d, fd)):
                 if fx < best_val:
                     best_val, best_t = fx, math.exp(x)
     return best_val, best_t
 
 
-def _directional_divergence(
-    direct: LogDist,
-    trip: LogDist,
-    spec: DivergenceSpec,
-    t_grid: np.ndarray,
-    fixed_t: float | None,
-) -> tuple[float, float, bool]:
-    extended = direct.support != trip.support
-    if extended:
-        universe = sorted(set(direct.support) | set(trip.support))
-        direct = embed(direct, universe)
-        trip = embed(trip, universe)
+def _search(directions, spec, t_grid, fixed_ts=None) -> list[tuple[float, float, bool]]:
+    """``(divergence, temperature, support extended)`` of each ``(direct,
+    trip)`` direction: the divergence of the direct row from the annealed
+    trip, minimized over temperature."""
+    grid = np.asarray(t_grid, dtype=float)
+    fixed_ts = fixed_ts or [None] * len(directions)
+    groups: dict[tuple[int, int], list] = {}
+    for i, (direct, trip) in enumerate(directions):
+        if direct.support != trip.support:
+            universe = sorted(set(direct.support) | set(trip.support))
+            direct, trip = embed(direct, universe), embed(trip, universe)
+        key = (len(direct.support), i // _LOCKSTEP_DIRECTIONS)
+        groups.setdefault(key, []).append((i, direct, trip))
+    found: list = [None] * len(directions)
+    for group in groups.values():
+        searches = [_golden_section(grid, fixed_ts[i]) for i, _, _ in group]
+        for (i, _, _), result in zip(group, _lockstep(group, searches, spec)):
+            found[i] = (*result, directions[i][0].support != directions[i][1].support)
+    return found
 
-    def objective(t: float) -> float:
-        return f_divergence(spec, direct, anneal(trip, t))
 
-    val, best_t = _minimize_over_temperature(objective, t_grid, fixed_t)
-    return val, best_t, extended
+def _lockstep(group: list, searches: list, spec: DivergenceSpec) -> list[tuple[float, float]]:
+    """Run the searches of ``(index, direct, trip)`` directions over supports
+    of one length together, annealing all pending temperatures in one array."""
+    direct_p, direct_logp, trip_logp, trip_p = (
+        np.array([getattr(item[side], name) for item in group])
+        for side, name in ((1, "probs"), (1, "logp"), (2, "logp"), (2, "probs"))
+    )
+    results: list = [None] * len(searches)
+    pending = {i: next(g) for i, g in enumerate(searches)}
+    while pending:
+        rows = np.repeat(list(pending), [len(req) for req in pending.values()])
+        temps = np.concatenate([np.asarray(req, dtype=float) for req in pending.values()])
+        q_logp, q_probs = trip_logp[rows], trip_p[rows]
+        hot = temps != 1.0  # anneal returns its input unchanged at T = 1
+        if hot.any():
+            q_logp[hot], q_probs[hot] = anneal_rows(q_logp[hot], temps[hot])
+        values = f_divergence_rows(spec.kind, direct_p[rows], direct_logp[rows],
+                                   q_probs, q_logp).tolist()
+        asked, pending, start = pending, {}, 0
+        for i, req in asked.items():
+            answer, start = values[start:start + len(req)], start + len(req)
+            try:
+                pending[i] = searches[i].send(answer)
+            except StopIteration as done:
+                results[i] = done.value
+    return results
+
+
+def _check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None) -> list[ConsistencyReport]:
+    """Reports of ``(lang_pair, prompt_pair)`` items, all in one search."""
+    directions = []
+    for (m, n), (x_m, x_n) in pairs:
+        for a, b, x in ((m, n, x_m), (n, m, x_n)):
+            trip = round_trip(translators[(a, b)], pi[b], translators[(b, a)], x)
+            directions.append((pi[a].row(x), trip))
+    found = _search(directions, spec, t_grid, None if fixed is None else list(fixed) * len(pairs))
+    reports = []
+    for j, (lang_pair, prompt_pair) in enumerate(pairs):
+        (d1, t1, ext1), (d2, t2, ext2) = found[2 * j], found[2 * j + 1]
+        worst = max(d1, d2)
+        reports.append(ConsistencyReport(lang_pair, prompt_pair, worst, t1, t2, d1, d2, eps,
+                                         worst <= eps, ext1 or ext2))
+    return reports
 
 
 def check_consistency(
@@ -132,30 +180,8 @@ def check_consistency(
     (leaky translators), both sides are embedded onto the support union
     explicitly and the report says so.
     """
-    m, n = lang_pair
-    x_m, x_n = prompt_pair
-    f1 = fixed_temperatures[0] if fixed_temperatures else None
-    f2 = fixed_temperatures[1] if fixed_temperatures else None
-
-    trip_m = round_trip(translators[(m, n)], pi[n], translators[(n, m)], x_m)
-    d1, t1, ext1 = _directional_divergence(pi[m].row(x_m), trip_m, spec, t_grid, f1)
-
-    trip_n = round_trip(translators[(n, m)], pi[m], translators[(m, n)], x_n)
-    d2, t2, ext2 = _directional_divergence(pi[n].row(x_n), trip_n, spec, t_grid, f2)
-
-    worst = max(d1, d2)
-    return ConsistencyReport(
-        lang_pair=lang_pair,
-        prompt_pair=prompt_pair,
-        divergence_at_best_T=worst,
-        best_T1=t1,
-        best_T2=t2,
-        divergence_1=d1,
-        divergence_2=d2,
-        epsilon=eps,
-        satisfied=worst <= eps,
-        support_extended=ext1 or ext2,
-    )
+    return _check_pairs(pi, translators, [(lang_pair, prompt_pair)], spec, eps, t_grid,
+                        fixed_temperatures[:2] if fixed_temperatures else None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +435,11 @@ def evaluate_policy(
         ent[lang] = entropy_stats(policy[lang], gold)
         chg[lang] = changed_fraction(scenario.ref[lang], policy[lang])
 
-    reports = []
-    if include_consistency:
-        langs = scenario.lang_ids
-        for i, a in enumerate(langs):
-            for b in langs[i + 1:]:
-                ia, ib = scenario.lang_index(a), scenario.lang_index(b)
-                for pt in scenario.alignment.prompt_tuples:
-                    reports.append(check_consistency(
-                        policy, scenario.translators, (a, b), (pt[ia], pt[ib]),
-                        spec=spec, eps=eps,
-                    ))
+    langs = scenario.lang_ids
+    pairs = [((a, b), (pt[scenario.lang_index(a)], pt[scenario.lang_index(b)]))
+             for i, a in enumerate(langs) for b in langs[i + 1:]
+             for pt in scenario.alignment.prompt_tuples] if include_consistency else []
+    reports = _check_pairs(policy, scenario.translators, pairs, spec, eps, DEFAULT_T_GRID)
 
     return MetricsReport(
         policy_label=policy_label,

@@ -123,10 +123,10 @@ def _minimality(
         worst_margin = min(worst_margin, margin)
         if margin <= 0:
             return CheckResult(check_id, "fail", "a perturbation matched or beat the optimum",
-                               observed=margin, expected="margin > 0")
+                               observed=float(margin), expected="margin > 0")
     return CheckResult(check_id, "pass",
                        f"{n_perturbations} perturbations, smallest margin {worst_margin:.3e}",
-                       observed=worst_margin, expected="margin > 0")
+                       observed=float(worst_margin), expected="margin > 0")
 
 
 def check_optimum_minimality(s: Scenario, optimum=None, **kw) -> CheckResult:

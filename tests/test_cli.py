@@ -186,6 +186,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "optimum-minimality: FAIL" in out
 
+    def test_suite_self_test_prints_plain_floats(self, capsys):
+        assert run("verify", "--suite", "--self-test") == 2
+        out = capsys.readouterr().out
+        assert "optimum-minimality: FAIL observed=-0.00" in out
+        assert "np.float64(" not in out
+
     def test_without_target_exits_one(self):
         assert run("verify") == 1
 

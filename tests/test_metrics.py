@@ -1,6 +1,7 @@
 """Consistency checker, ranking agreement, and evaluation statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestCheckConsistency:
             check_consistency(
                 {0: world.ref[0], 1: world.ref[1]}, world.translators,
                 (0, 1), (0, 10), t_grid=np.array([]),
+            )
+
+    @pytest.mark.parametrize("temps", [(0.0, 1.0), (-1.0, 2.0), (math.nan, 1.0), (1.0, 0.0)])
+    def test_nonpositive_fixed_temperature_rejected(self, temps):
+        world = tiny_bilingual([0.8, 0.2], [0.4, 0.6])
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            check_consistency(
+                {0: world.ref[0], 1: world.ref[1]}, world.translators,
+                (0, 1), (0, 10), fixed_temperatures=temps,
             )
 
     def test_divergence_invariant_under_consistent_relabeling(self):
@@ -303,6 +313,18 @@ class TestEvaluatePolicy:
         assert report.rankc.clc_all < 1.0
         for lang, v in report.changed.items():
             assert v == 0.0
+
+    def test_chi_square_on_noisy_world_warns_nothing(self):
+        # annealed round-trip entries reach subnormal values at the grid's
+        # ends, where a chi-square term is +inf without an overflow warning
+        s = generate(GeneratorConfig(n_langs=2, n_prompts=2, n_candidates=6,
+                                     translator_mode="noisy", noise=0.3, ref_sharpness=0.5,
+                                     u=(1.0, 2.5), v=(1.0, 0.7), prior_mode="dirichlet", seed=4))
+        policy = closed_form_optimum(s).policy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = evaluate_policy(s, policy, "optimum", spec=DivergenceSpec("chi-square"))
+        assert len(report.consistency) == 2
 
     def test_report_serializes(self):
         s = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=3))
