@@ -81,18 +81,17 @@ def _write_manifest(out_path: Path, command: str, config: dict,
         json.dumps(manifest, indent=1) + "\n")
 
 
-def _load_scenario(path: str, check: bool = True) -> Scenario:
+def _load_scenario(path: str) -> Scenario:
     try:
         s = load(path)
     except FileNotFoundError:
         raise CliError(f"scenario file not found: {path}")
     except ScenarioFormatError as err:
         raise CliError(f"cannot load {path}: {err}")
-    if check:
-        violations = validate(s)
-        if violations:
-            listing = "; ".join(str(v) for v in violations)
-            raise CliError(f"scenario {path} is invalid: {listing}")
+    violations = validate(s)
+    if violations:
+        listing = "; ".join(str(v) for v in violations)
+        raise CliError(f"scenario {path} is invalid: {listing}")
     return s
 
 
@@ -255,7 +254,7 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.scenario:
-        scenarios = [(Path(args.scenario).name, _load_scenario(args.scenario, check=False))]
+        scenarios = [(Path(args.scenario).name, _load_scenario(args.scenario))]
     elif args.suite:
         scenarios = builtin_suite()
     else:

@@ -97,7 +97,7 @@ class LogDist:
     @classmethod
     def from_probs(cls, support: Iterable[int], probs: Sequence[float]) -> "LogDist":
         p = np.asarray(probs, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             lp = np.log(p)
         return cls(tuple(support), p, lp)
 

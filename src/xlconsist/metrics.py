@@ -147,8 +147,10 @@ def _lockstep(group: list, searches: list, spec: DivergenceSpec) -> list[tuple[f
     return results
 
 
-def _check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None) -> list[ConsistencyReport]:
-    """Reports of ``(lang_pair, prompt_pair)`` items, all in one search."""
+def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None) -> list[ConsistencyReport]:
+    """Consistency reports of ``(lang_pair, prompt_pair)`` items, in order,
+    from one lockstep search over both directions of every item.  ``fixed``,
+    when given, holds the two directions' temperatures for every item."""
     directions = []
     for (m, n), (x_m, x_n) in pairs:
         for a, b, x in ((m, n, x_m), (n, m, x_n)):
@@ -180,8 +182,8 @@ def check_consistency(
     (leaky translators), both sides are embedded onto the support union
     explicitly and the report says so.
     """
-    return _check_pairs(pi, translators, [(lang_pair, prompt_pair)], spec, eps, t_grid,
-                        fixed_temperatures[:2] if fixed_temperatures else None)[0]
+    return check_pairs(pi, translators, [(lang_pair, prompt_pair)], spec, eps, t_grid,
+                       fixed_temperatures[:2] if fixed_temperatures else None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +441,7 @@ def evaluate_policy(
     pairs = [((a, b), (pt[scenario.lang_index(a)], pt[scenario.lang_index(b)]))
              for i, a in enumerate(langs) for b in langs[i + 1:]
              for pt in scenario.alignment.prompt_tuples] if include_consistency else []
-    reports = _check_pairs(policy, scenario.translators, pairs, spec, eps, DEFAULT_T_GRID)
+    reports = check_pairs(policy, scenario.translators, pairs, spec, eps, DEFAULT_T_GRID)
 
     return MetricsReport(
         policy_label=policy_label,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -144,22 +144,17 @@ def _reachable_support(tau_out, pi, tau_back, prompt) -> tuple[int, ...]:
     return tuple(sorted(support))
 
 
-def _sample_rows(rows: dict[int, LogDist], keys: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample one response per key, vectorized over samples."""
-    uniq = np.unique(keys)
-    index = {k: i for i, k in enumerate(uniq)}
-    width = max(len(rows[k].support) for k in uniq)
-    cums = np.ones((len(uniq), width))
-    for k in uniq:
-        c = np.cumsum(rows[k].probs)
-        cums[index[k], : len(c)] = c
-    row_idx = np.array([index[k] for k in keys])
-    picked = np.sum(cums[row_idx] < u[:, None], axis=1)
+def _sample(kernel: StochasticKernel, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one response per key from the kernel's row for
+    that key, one pass per distinct key.  Picks are clamped to the row's
+    positive-mass entries, so every draw lies in the reachable support."""
     out = np.empty(len(keys), dtype=int)
-    for k in uniq:
-        sup = np.asarray(rows[k].support)
-        mask = keys == k
-        out[mask] = sup[np.minimum(picked[mask], len(sup) - 1)]
+    for k in np.unique(keys):
+        row = kernel.row(int(k))
+        live = np.flatnonzero(row.probs)
+        at = keys == k
+        picked = np.searchsorted(np.cumsum(row.probs), u[at], side="left")
+        out[at] = np.asarray(row.support)[np.clip(picked, live[0], live[-1])]
     return out
 
 
@@ -184,18 +179,10 @@ def round_trip_target(
         return round_trip(tau_out, pi, tau_back, prompt)
 
     support = _reachable_support(tau_out, pi, tau_back, prompt)
-    rng = np.random.default_rng(mc.seed)
-    u = rng.random((mc.samples, 3))
-    first = tau_out.row(prompt)
-    cum = np.cumsum(first.probs)
-    xp_idx = np.minimum(np.sum(cum < u[:, 0][:, None], axis=1), len(cum) - 1)
-    xs = np.asarray(first.support)[xp_idx]
-    ys = _sample_rows(dict(pi.rows), xs, u[:, 1])
-    zs = _sample_rows(dict(tau_back.rows), ys, u[:, 2])
-    counts = np.zeros(len(support))
-    pos = {i: k for k, i in enumerate(support)}
-    for z in zs:
-        counts[pos[int(z)]] += 1.0
+    u = np.random.default_rng(mc.seed).random((mc.samples, 3))
+    xs = _sample(tau_out, np.full(mc.samples, prompt), u[:, 0])
+    zs = _sample(tau_back, _sample(pi, xs, u[:, 1]), u[:, 2])
+    counts = np.bincount(np.searchsorted(support, zs), minlength=len(support))
     return LogDist.from_probs(support, counts / mc.samples).floored()
 
 
@@ -331,17 +318,18 @@ def _tilted_row(
     return LogDist.from_logp(ref_row.support, unnorm), log_z, floor_used
 
 
-def n_language_optimum(
-    scenario: Scenario, mc: MonteCarloConfig | None = None
+def tilted_optimum(
+    scenario: Scenario,
+    targets: Mapping[tuple[int, int, int], LogDist],
+    weight: Callable[[int, int], float],
 ) -> ClosedFormOptimum:
-    """Product-of-powers optimum: the reference row tilted by every other
-    language's round-trip target raised to the pairwise strength."""
-    targets = round_trip_targets(scenario, mc)
+    """Each reference row tilted by every other language's round-trip
+    target raised to ``weight(lang, via)``, normalized per prompt."""
     policy, log_norm, floored = {}, {}, []
     for lang in scenario.lang_ids:
         rows = {}
         for prompt in scenario.space(lang).prompts:
-            tilts = [(scenario.beta(lang, via), targets[(lang, via, prompt)])
+            tilts = [(weight(lang, via), targets[(lang, via, prompt)])
                      for via in _routes(scenario, lang)]
             row, log_z, used = _tilted_row(scenario.ref[lang].row(prompt), tilts)
             rows[prompt] = row
@@ -350,6 +338,14 @@ def n_language_optimum(
                 floored.append((lang, prompt))
         policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
     return ClosedFormOptimum(policy, log_norm, tuple(floored), targets)
+
+
+def n_language_optimum(
+    scenario: Scenario, mc: MonteCarloConfig | None = None
+) -> ClosedFormOptimum:
+    """Product-of-powers optimum: the reference row tilted by every other
+    language's round-trip target raised to the pairwise strength."""
+    return tilted_optimum(scenario, round_trip_targets(scenario, mc), scenario.beta)
 
 
 def closed_form_optimum(

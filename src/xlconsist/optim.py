@@ -116,6 +116,17 @@ def _policy_rows(table_rows: dict[int, np.ndarray], supports) -> dict[int, LogDi
     return {p: LogDist.from_logp(supports[p], z) for p, z in table_rows.items()}
 
 
+def _start(scenario: Scenario):
+    """What both fitters start from: the target table, the prior weights,
+    the closed-form rows, the reference scores and their supports."""
+    optimum = n_language_optimum(scenario)
+    opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
+    init = initial_logits(scenario)
+    z = {p: init.rows[p].copy() for p in init.prompts()}
+    return (target_table(scenario, optimum.targets), prior_weights(scenario), opt_rows, z,
+            init.supports)
+
+
 def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, TrainTrace]:
     """Subgradient descent of the regression loss from the reference scores.
 
@@ -125,14 +136,7 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
     """
     if config.method != METHOD_DCO:
         raise ValueError(f"fit_dco requires method {METHOD_DCO!r}")
-    optimum = n_language_optimum(scenario)
-    targets = target_table(scenario, optimum.targets)
-    weights = prior_weights(scenario)
-    opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
-
-    init = initial_logits(scenario)
-    z = {p: init.rows[p].copy() for p in init.prompts()}
-    supports = init.supports
+    targets, weights, opt_rows, z, supports = _start(scenario)
 
     def loss_of(rows: dict[int, np.ndarray]) -> float:
         return dco_loss(LogitTable(supports, rows), targets, norm=config.norm,
@@ -226,14 +230,7 @@ def fit_pco_reinforce(
     if config.method != METHOD_REINFORCE:
         raise ValueError(f"fit_pco_reinforce requires method {METHOD_REINFORCE!r}")
     rng = np.random.default_rng(config.seed)
-    optimum = n_language_optimum(scenario)
-    targets = target_table(scenario, optimum.targets)
-    weights = prior_weights(scenario)
-    opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
-
-    init = initial_logits(scenario)
-    z = {p: init.rows[p].copy() for p in init.prompts()}
-    supports = init.supports
+    targets, weights, opt_rows, z, supports = _start(scenario)
     langs = scenario.lang_ids
     prior_cums = {
         lang: (np.cumsum(scenario.priors[lang].probs),
@@ -241,13 +238,11 @@ def fit_pco_reinforce(
         for lang in langs
     }
 
-    def objective() -> float:
+    def objective(policy: dict[int, LogDist]) -> float:
         # exact prior-weighted objective given the fixed target table
         total = 0.0
-        for p, row in z.items():
-            lp = row - logsumexp(row)
-            pi = np.exp(lp)
-            total += weights[p] * float(np.sum(pi * (lp - targets.rows[p])))
+        for p, row in policy.items():
+            total += weights[p] * float(np.sum(row.probs * (row.logp - targets.rows[p])))
         return total
 
     trace: list[TraceRow] = []
@@ -256,7 +251,7 @@ def fit_pco_reinforce(
     converged = False
     diagnostic = ""
     worsening = 0
-    last_objective = objective()
+    last_objective = objective(prev_policy)
     started = time.perf_counter()
 
     for it in range(1, config.max_iters + 1):
@@ -285,7 +280,7 @@ def fit_pco_reinforce(
             diagnostic = "non-finite parameters"
             break
         policy = _policy_rows(z, supports)
-        obj = objective()
+        obj = objective(policy)
         worsening = worsening + 1 if obj > last_objective else 0
         last_objective = obj
         tv_opt = _max_row_tv(policy, opt_rows)

@@ -31,7 +31,7 @@ from xlconsist.core import (
     is_invertible_pair,
     round_trip,
 )
-from xlconsist.metrics import check_consistency
+from xlconsist.metrics import DEFAULT_T_GRID, check_pairs
 from xlconsist.objectives import (
     ClosedFormOptimum,
     LogitTable,
@@ -41,7 +41,7 @@ from xlconsist.objectives import (
     n_language_total,
     prior_weights,
     target_table,
-    _tilted_row,
+    tilted_optimum,
 )
 from xlconsist.scenario import GeneratorConfig, Scenario, cocycle_violations, generate
 
@@ -95,16 +95,7 @@ def _translators_invertible(s: Scenario, tol: float = 1e-9) -> bool:
 
 def corrupt_exponent(s: Scenario, optimum: ClosedFormOptimum) -> ClosedFormOptimum:
     """Rebuild the optimum with every cross weight off by one."""
-    policy, log_norm = {}, {}
-    for lang in s.lang_ids:
-        rows = {}
-        for prompt in s.space(lang).prompts:
-            tilts = [(s.beta(lang, via) + 1.0, optimum.targets[(lang, via, prompt)])
-                     for via in s.lang_ids if via != lang]
-            rows[prompt], _, _ = _tilted_row(s.ref[lang].row(prompt), tilts)
-            log_norm[prompt] = 0.0
-        policy[lang] = StochasticKernel(lang, lang, rows)
-    return ClosedFormOptimum(policy, log_norm, optimum.floored, optimum.targets)
+    return tilted_optimum(s, optimum.targets, lambda lang, via: s.beta(lang, via) + 1.0)
 
 
 def _minimality(
@@ -147,16 +138,12 @@ def check_optimum_consistency(s: Scenario, optimum=None, tol: float = 1e-9) -> C
         return CheckResult(cid, "skipped", "translators are not invertible")
     optimum = closed_form_optimum(s) if optimum is None else optimum
     a, b = s.lang_ids
-    beta_a, beta_b = s.beta(a, b), s.beta(b, a)
+    ia, ib = s.lang_index(a), s.lang_index(b)
+    pairs = [((a, b), (pt[ia], pt[ib])) for pt in s.alignment.prompt_tuples]
     worst = 0.0
     for kind in DIVERGENCE_KINDS:
-        for g, pt in enumerate(s.alignment.prompt_tuples):
-            ia, ib = s.lang_index(a), s.lang_index(b)
-            rep = check_consistency(
-                optimum.policy, s.translators, (a, b), (pt[ia], pt[ib]),
-                spec=DivergenceSpec(kind), eps=tol,
-                fixed_temperatures=(beta_a, beta_b),
-            )
+        for rep in check_pairs(optimum.policy, s.translators, pairs, DivergenceSpec(kind), tol,
+                               DEFAULT_T_GRID, fixed=(s.beta(a, b), s.beta(b, a))):
             worst = max(worst, rep.divergence_at_best_T)
             if not rep.satisfied:
                 return CheckResult(cid, "fail",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -95,15 +96,6 @@ class LanguageSpace:
         object.__setattr__(self, "prompts", tuple(self.prompts))
         object.__setattr__(
             self, "candidates", {int(p): tuple(c) for p, c in self.candidates.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, LanguageSpace):
-            return NotImplemented
-        return (
-            self.lang_id == other.lang_id
-            and self.prompts == other.prompts
-            and self.candidates == other.candidates
         )
 
     def __hash__(self):
@@ -221,19 +213,6 @@ class Scenario:
             self, "translators", {(int(a), int(b)): k for (a, b), k in self.translators.items()}
         )
         object.__setattr__(self, "priors", dict(self.priors))
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.spaces == other.spaces
-            and self.alignment == other.alignment
-            and self.ref == other.ref
-            and self.translators == other.translators
-            and self.priors == other.priors
-            and self.strengths == other.strengths
-            and self.seed == other.seed
-        )
 
     def __hash__(self):
         return hash((self.spaces, self.seed))
@@ -480,8 +459,12 @@ def validate(s: Scenario) -> list[Violation]:
         for k in range(n):
             if m == k:
                 continue
-            if (m, k) not in s.translators:
+            kern = s.translators.get((m, k))
+            if kern is None:
                 out.append(Violation(f"pair ({m},{k})", "translator-present"))
+                continue
+            for i in sorted(s.spaces[m].all_ids() - set(kern.rows)):
+                out.append(Violation(f"translator ({m},{k})", "row-per-source-id", f"ID {i}"))
 
     for m, sp in enumerate(s.spaces):
         prior = s.priors.get(m)
@@ -580,13 +563,38 @@ def save(s: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(s), indent=1) + "\n")
 
 
-def _need(doc: dict, key: str, where: str):
+def _need(doc, key: str, where: str, check=None):
+    """``doc[key]``, passed through ``check(value, where)`` when given."""
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(f"{where}: expected an object with field {key!r}")
     if key not in doc:
         raise ScenarioFormatError(f"{where}: missing field {key!r}")
-    return doc[key]
+    return doc[key] if check is None else check(doc[key], f"{where} {key}")
 
 
-def _row_dist(support: Sequence[int], probs: Sequence[float], where: str) -> LogDist:
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{where}: expected a list")
+    return value
+
+
+def _id(value, where: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ScenarioFormatError(f"{where}: {value!r} is not an integer") from None
+
+
+def _ids(value, where: str, width: int | None = None) -> tuple[int, ...]:
+    ids = tuple(_id(v, where) for v in _list(value, where))
+    if width is not None and len(ids) != width:
+        raise ScenarioFormatError(f"{where}: {len(ids)} IDs for {width} languages")
+    return ids
+
+
+def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
+    if not all(type(x) in (int, float) for x in probs):
+        raise ScenarioFormatError(f"{where}: probs must be numbers")
     if len(support) != len(probs):
         raise ScenarioFormatError(f"{where}: {len(probs)} probabilities for {len(support)} ids")
     total = float(sum(probs))
@@ -602,54 +610,58 @@ def scenario_from_dict(doc: dict) -> Scenario:
     version = _need(doc, "version", "document")
     if version != SCHEMA_VERSION:
         raise ScenarioFormatError(f"unsupported scenario version {version!r}")
-    seed = int(_need(doc, "seed", "document"))
+    seed = _need(doc, "seed", "document", _id)
 
     spaces = []
-    for entry in _need(doc, "languages", "document"):
-        lang = int(_need(entry, "id", "languages"))
+    for entry in _need(doc, "languages", "document", _list):
+        lang = _need(entry, "id", "languages", _id)
         prompts, candidates = [], {}
-        for p in _need(entry, "prompts", f"language {lang}"):
-            pid = int(_need(p, "id", f"language {lang} prompt"))
+        for p in _need(entry, "prompts", f"language {lang}", _list):
+            pid = _need(p, "id", f"language {lang} prompt", _id)
             prompts.append(pid)
-            candidates[pid] = tuple(int(c) for c in _need(p, "candidates", f"prompt {pid}"))
+            candidates[pid] = _need(p, "candidates", f"prompt {pid}", _ids)
         spaces.append(LanguageSpace(lang, tuple(prompts), candidates))
     by_id = {sp.lang_id: sp for sp in spaces}
     index_of = {sp.lang_id: i for i, sp in enumerate(spaces)}
 
     align = _need(doc, "alignment", "document")
-    prompt_tuples = tuple(tuple(int(x) for x in t) for t in _need(align, "prompt_pairs", "alignment"))
+    n = len(spaces)
+    prompt_tuples = tuple(_ids(t, "alignment prompt_pairs", n)
+                          for t in _need(align, "prompt_pairs", "alignment", _list))
     candidate_tuples = tuple(
-        tuple(tuple(int(x) for x in c) for c in grp)
-        for grp in _need(align, "candidate_pairs", "alignment")
+        tuple(_ids(c, "alignment candidate_pairs", n)
+              for c in _list(grp, "alignment candidate_pairs"))
+        for grp in _need(align, "candidate_pairs", "alignment", _list)
     )
     if len(candidate_tuples) != len(prompt_tuples):
         raise ScenarioFormatError("alignment: candidate_pairs and prompt_pairs lengths differ")
     alignment = Alignment(prompt_tuples, candidate_tuples)
 
     ref = {}
-    for entry in _need(doc, "ref_kernels", "document"):
-        m = int(_need(entry, "lang", "ref_kernels"))
+    for entry in _need(doc, "ref_kernels", "document", _list):
+        m = _need(entry, "lang", "ref_kernels", _id)
         if m not in by_id:
             raise ScenarioFormatError(f"ref_kernels: unknown language {m}")
         rows = {}
-        for r in _need(entry, "rows", f"ref_kernels[{m}]"):
-            p = int(_need(r, "prompt", "ref row"))
+        for r in _need(entry, "rows", f"ref_kernels[{m}]", _list):
+            p = _need(r, "prompt", "ref row", _id)
             sup = by_id[m].candidates.get(p)
             if sup is None:
                 raise ScenarioFormatError(f"ref_kernels[{m}]: unknown prompt {p}")
-            rows[p] = _row_dist(sup, _need(r, "probs", f"ref row {p}"), f"ref_kernels[{m}] prompt {p}")
+            where = f"ref_kernels[{m}] prompt {p}"
+            rows[p] = _row_dist(sup, _need(r, "probs", where, _list), where)
         ref[m] = StochasticKernel(domain=m, codomain=m, rows=rows)
 
     translators = {}
-    for entry in _need(doc, "translators", "document"):
-        a = int(_need(entry, "from", "translators"))
-        b = int(_need(entry, "to", "translators"))
+    for entry in _need(doc, "translators", "document", _list):
+        a = _need(entry, "from", "translators", _id)
+        b = _need(entry, "to", "translators", _id)
         if a not in by_id or b not in by_id:
             raise ScenarioFormatError(f"translators: unknown pair ({a},{b})")
         pmap = alignment.prompt_map(index_of[a], index_of[b])
         rows = {}
-        for r in _need(entry, "rows", f"translator ({a},{b})"):
-            i = int(_need(r, "id", "translator row"))
+        for r in _need(entry, "rows", f"translator ({a},{b})", _list):
+            i = _need(r, "id", "translator row", _id)
             where = f"translator ({a},{b}) row {i}"
             if i in by_id[a].candidates:  # prompt-level row
                 sup: Sequence[int] = by_id[b].prompts
@@ -657,23 +669,26 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 p_a = next((p for p, cs in by_id[a].candidates.items() if i in cs), None)
                 if p_a is None:
                     raise ScenarioFormatError(f"{where}: ID not in source language")
-                sup = by_id[b].candidates[pmap[p_a]]
-            rows[i] = _row_dist(sup, _need(r, "probs", where), where)
+                sup = by_id[b].candidates.get(pmap.get(p_a))
+                if sup is None:
+                    raise ScenarioFormatError(f"{where}: alignment prompt_pairs aligns prompt "
+                                              f"{p_a} with no prompt of language {b}")
+            rows[i] = _row_dist(sup, _need(r, "probs", where, _list), where)
         translators[(a, b)] = StochasticKernel(domain=a, codomain=b, rows=rows)
 
     priors = {}
-    for entry in _need(doc, "priors", "document"):
-        m = int(_need(entry, "lang", "priors"))
+    for entry in _need(doc, "priors", "document", _list):
+        m = _need(entry, "lang", "priors", _id)
         if m not in by_id:
             raise ScenarioFormatError(f"priors: unknown language {m}")
-        priors[m] = _row_dist(by_id[m].prompts, _need(entry, "probs", f"priors[{m}]"),
+        priors[m] = _row_dist(by_id[m].prompts, _need(entry, "probs", f"priors[{m}]", _list),
                               f"priors[{m}]")
 
     st = _need(doc, "strengths", "document")
+    u, v = _need(st, "u", "strengths", _list), _need(st, "v", "strengths", _list)
     try:
-        strengths = StrengthConfig(tuple(_need(st, "u", "strengths")),
-                                   tuple(_need(st, "v", "strengths")))
-    except ValueError as err:
+        strengths = StrengthConfig(tuple(u), tuple(v))
+    except (TypeError, ValueError) as err:
         raise ScenarioFormatError(f"strengths: {err}") from err
 
     return Scenario(tuple(spaces), alignment, ref, translators, priors, strengths, seed)

@@ -133,11 +133,11 @@ class TestEval:
 
         # NaN fails every range check it meets; each must still be caught
         # and the field named, never end in a traceback
-        def set_nan(doc, *path):
+        def put(doc, value, *path):
             *head, last = path
             for key in head:
                 doc = doc[key]
-            doc[last] = math.nan
+            doc[last] = value
 
         nan_cases = {
             "ref_kernels": ("ref_kernels", 0, "rows", 0, "probs", 0),
@@ -147,7 +147,7 @@ class TestEval:
         }
         for field, path in nan_cases.items():
             doc = json.loads(bench.read_text())
-            set_nan(doc, *path)
+            put(doc, math.nan, *path)
             bad.write_text(json.dumps(doc))
             capsys.readouterr()
             assert run("eval", "--scenario", bad, "--policy", "optimum",
@@ -163,6 +163,38 @@ class TestEval:
             assert run("eval", "--scenario", bad, "--policy", "optimum",
                        "--out", tmp_path / "m.json") == 1, u1
             assert "strengths" in capsys.readouterr().err, u1
+
+        # wrong JSON types, a short or unknown alignment tuple, and a
+        # translator without the row for a source ID
+        broken = [
+            ("probs", "abc", "ref_kernels", 0, "rows", 0, "probs"),
+            ("probs", ["a", "b", "c", "d"], "ref_kernels", 0, "rows", 0, "probs"),
+            ("probs", None, "translators", 0, "rows", 0, "probs"),
+            ("probs", None, "priors", 0, "probs"),
+            ("languages", 5, "languages"),
+            ("languages", 5, "languages", 0),
+            ("prompt id", "x", "languages", 0, "prompts", 0, "id"),
+            ("prompt id", 0.5, "languages", 0, "prompts", 0, "id"),
+            ("seed", "abc", "seed"),
+            ("prompt_pairs", [0], "alignment", "prompt_pairs", 0),
+            ("prompt_pairs", 999, "alignment", "prompt_pairs", 0, 1),
+            ("candidate_pairs", [5], "alignment", "candidate_pairs", 0, 0),
+        ]
+        for field, value, *path in broken:
+            doc = json.loads(bench.read_text())
+            put(doc, value, *path)
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("eval", "--scenario", bad, "--policy", "ref",
+                       "--out", tmp_path / "m.json") == 1, (field, value)
+            assert field in capsys.readouterr().err, (field, value)
+        doc = json.loads(bench.read_text())
+        del doc["translators"][0]["rows"][0]
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--scenario", bad, "--policy", "ref",
+                   "--out", tmp_path / "m.json") == 1
+        assert "row-per-source-id" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -191,6 +223,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "optimum-minimality: FAIL observed=-0.00" in out
         assert "np.float64(" not in out
+
+    def test_invalid_scenario_exits_one(self, bench, tmp_path, capsys):
+        # verify validates its file as eval and fit do
+        bad = tmp_path / "bad.json"
+        for rule, drop in (("prior-present", lambda doc: doc["priors"].pop()),
+                           ("reference-kernel-present", lambda doc: doc["ref_kernels"].pop()),
+                           ("row-per-prompt", lambda doc: doc["ref_kernels"][0]["rows"].pop())):
+            doc = json.loads(bench.read_text())
+            drop(doc)
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("verify", "--scenario", bad) == 1, rule
+            assert rule in capsys.readouterr().err, rule
 
     def test_without_target_exits_one(self):
         assert run("verify") == 1

@@ -66,6 +66,11 @@ class TestLogDist:
         with pytest.raises(ValueError):
             LogDist.from_probs((0, 1), [0.5, 0.4])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_probability_rejected_without_warning(self):
+        with pytest.raises(ValueError, match="negative probability"):
+            LogDist.from_probs((0, 1), [1.5, -0.5])
+
     def test_exact_zeros_are_preserved(self):
         d = LogDist.point_mass((0, 1, 2), on=1)
         assert d.prob(0) == 0.0

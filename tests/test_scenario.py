@@ -1,12 +1,13 @@
 """Scenario generation, validation, and file round-trip tests."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from xlconsist.core import LogDist, is_invertible_pair, round_trip
+from xlconsist.core import LogDist, StochasticKernel, is_invertible_pair, round_trip
 from xlconsist.scenario import (
     Alignment,
     GeneratorConfig,
@@ -176,6 +177,16 @@ class TestValidate:
                        {0: bad_prior, 1: s.priors[1]}, s.strengths, s.seed)
         rules = {v.rule for v in validate(bad)}
         assert "prior-on-own-prompts" in rules
+
+    def test_translator_missing_source_row_flagged(self):
+        s = generate(BIJ)
+        prompt = s.space(0).prompts[0]
+        kern = s.translators[(0, 1)]
+        rows = {i: r for i, r in kern.rows.items() if i != prompt}
+        bad = dataclasses.replace(
+            s, translators={**s.translators, (0, 1): StochasticKernel(0, 1, rows)})
+        assert [(v.obj, v.rule, v.detail) for v in validate(bad)] == [
+            ("translator (0,1)", "row-per-source-id", f"ID {prompt}")]
 
 
 class TestSerialization:
