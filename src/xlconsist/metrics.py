@@ -28,6 +28,7 @@ from xlconsist.core import (
     LogDist,
     StochasticKernel,
     StructuralError,
+    anneal,
     anneal_rows,
     embed,
     entropy,
@@ -147,16 +148,21 @@ def _lockstep(group: list, searches: list, spec: DivergenceSpec) -> list[tuple[f
     return results
 
 
-def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None) -> list[ConsistencyReport]:
+def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
+                fixed_direct=None) -> list[ConsistencyReport]:
     """Consistency reports of ``(lang_pair, prompt_pair)`` items, in order,
-    from one lockstep search over both directions of every item.  ``fixed``,
-    when given, holds the two directions' temperatures for every item."""
+    from one lockstep search over both directions of every item.  Given,
+    ``fixed(a, b)`` replaces the search of direction a -> b by one round-trip
+    temperature, and ``fixed_direct(a, b)`` anneals its direct row first."""
     directions = []
     for (m, n), (x_m, x_n) in pairs:
         for a, b, x in ((m, n, x_m), (n, m, x_n)):
             trip = round_trip(translators[(a, b)], pi[b], translators[(b, a)], x)
-            directions.append((pi[a].row(x), trip))
-    found = _search(directions, spec, t_grid, None if fixed is None else list(fixed) * len(pairs))
+            direct = pi[a].row(x)
+            directions.append((direct if fixed_direct is None
+                               else anneal(direct, fixed_direct(a, b)), trip))
+    found = _search(directions, spec, t_grid, None if fixed is None else
+                    [fixed(a, b) for (m, n), _ in pairs for a, b in ((m, n), (n, m))])
     reports = []
     for j, (lang_pair, prompt_pair) in enumerate(pairs):
         (d1, t1, ext1), (d2, t2, ext2) = found[2 * j], found[2 * j + 1]
@@ -182,8 +188,8 @@ def check_consistency(
     (leaky translators), both sides are embedded onto the support union
     explicitly and the report says so.
     """
-    return check_pairs(pi, translators, [(lang_pair, prompt_pair)], spec, eps, t_grid,
-                       fixed_temperatures[:2] if fixed_temperatures else None)[0]
+    fixed = (lambda a, b: fixed_temperatures[a != lang_pair[0]]) if fixed_temperatures else None
+    return check_pairs(pi, translators, [(lang_pair, prompt_pair)], spec, eps, t_grid, fixed)[0]
 
 
 # ---------------------------------------------------------------------------

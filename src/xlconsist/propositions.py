@@ -3,10 +3,11 @@
 Each check takes a scenario and returns pass, fail, or skipped-with-reason
 when its preconditions are not met (unbalanced strengths, leaky
 translators, too few languages).  The checks are deliberately independent
-of the optimizers: they evaluate objectives and divergences directly.
+of the optimizers: they evaluate objectives directly, and divergences
+through the lockstep search of ``metrics.check_pairs`` at fixed temperatures.
 
-The checks read the round-trip targets the optimum carries instead of
-recomputing them, so ``run_checks`` builds each target once.
+The checks read the round-trip targets the optimum carries, so
+``run_checks`` builds each target once; it runs minimality once too.
 
 ``corrupt_exponent`` exists for self-testing the harness: it rebuilds the
 optimum with every strength weight off by one, which a sound minimality
@@ -16,7 +17,8 @@ check must reject.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import permutations
 
 import numpy as np
 
@@ -25,11 +27,7 @@ from xlconsist.core import (
     DivergenceSpec,
     LogDist,
     StochasticKernel,
-    anneal,
-    embed,
-    f_divergence,
     is_invertible_pair,
-    round_trip,
 )
 from xlconsist.metrics import DEFAULT_T_GRID, check_pairs
 from xlconsist.objectives import (
@@ -137,13 +135,11 @@ def check_optimum_consistency(s: Scenario, optimum=None, tol: float = 1e-9) -> C
     if not _translators_invertible(s):
         return CheckResult(cid, "skipped", "translators are not invertible")
     optimum = closed_form_optimum(s) if optimum is None else optimum
-    a, b = s.lang_ids
-    ia, ib = s.lang_index(a), s.lang_index(b)
-    pairs = [((a, b), (pt[ia], pt[ib])) for pt in s.alignment.prompt_tuples]
+    pairs = [(s.lang_ids, pt) for pt in s.alignment.prompt_tuples]
     worst = 0.0
     for kind in DIVERGENCE_KINDS:
         for rep in check_pairs(optimum.policy, s.translators, pairs, DivergenceSpec(kind), tol,
-                               DEFAULT_T_GRID, fixed=(s.beta(a, b), s.beta(b, a))):
+                               DEFAULT_T_GRID, fixed=s.beta):
             worst = max(worst, rep.divergence_at_best_T)
             if not rep.satisfied:
                 return CheckResult(cid, "fail",
@@ -205,28 +201,25 @@ def check_multi_language_consistency(s: Scenario, optimum=None, tol: float = 1e-
     if cocycle_violations(s):
         return CheckResult(cid, "skipped", "translators do not satisfy the cocycle identity")
     optimum = n_language_optimum(s) if optimum is None else optimum
+    langs, groups = s.lang_ids, s.alignment.prompt_tuples
+    u = dict(zip(langs, s.strengths.u))
+    pairs = [((m, n), (pt[s.lang_index(m)], pt[s.lang_index(n)]))
+             for i, m in enumerate(langs) for n in langs[i + 1:] for pt in groups]
+    found = {}
+    for ((m, n), (x_m, x_n)), rep in zip(pairs, check_pairs(
+            optimum.policy, s.translators, pairs, DivergenceSpec("forward-kl"), tol,
+            DEFAULT_T_GRID, fixed=lambda m, n: u[m], fixed_direct=lambda m, n: u[n])):
+        found[m, n, x_m], found[n, m, x_n] = rep.divergence_1, rep.divergence_2
     worst = 0.0
-    for m in s.lang_ids:
-        for n in s.lang_ids:
-            if m == n:
-                continue
-            u_m = s.strengths.u[s.lang_index(m)]
-            u_n = s.strengths.u[s.lang_index(n)]
-            for pt in s.alignment.prompt_tuples:
-                x_m = pt[s.lang_index(m)]
-                direct = anneal(optimum.row(m, x_m), u_n)
-                trip = round_trip(s.translator(m, n), optimum.policy[n],
-                                  s.translator(n, m), x_m)
-                trip = anneal(trip, u_m)
-                if direct.support != trip.support:
-                    universe = sorted(set(direct.support) | set(trip.support))
-                    direct, trip = embed(direct, universe), embed(trip, universe)
-                d = f_divergence(DivergenceSpec("forward-kl"), direct, trip)
-                worst = max(worst, d)
-                if d > tol:
-                    return CheckResult(cid, "fail",
-                                       f"pair ({m},{n}) at prompt {x_m}",
-                                       observed=d, expected=f"<= {tol}")
+    for m, n in permutations(langs, 2):
+        for pt in groups:
+            x_m = pt[s.lang_index(m)]
+            d = found[m, n, x_m]
+            worst = max(worst, d)
+            if d > tol:
+                return CheckResult(cid, "fail",
+                                   f"pair ({m},{n}) at prompt {x_m}",
+                                   observed=d, expected=f"<= {tol}")
     return CheckResult(cid, "pass", f"all ordered pairs, worst divergence {worst:.3e}",
                        observed=worst, expected=f"<= {tol}")
 
@@ -237,14 +230,15 @@ def run_checks(s: Scenario, self_test: bool = False) -> list[CheckResult]:
     optimum = n_language_optimum(s)
     if self_test:
         optimum = corrupt_exponent(s, optimum)
-    results = [
-        check_optimum_minimality(s, optimum=optimum),
+    minimality = check_multi_language_minimality(s, optimum=optimum)
+    return [
+        replace(minimality, check_id="optimum-minimality") if s.n_langs == 2
+        else check_optimum_minimality(s, optimum=optimum),
         check_optimum_consistency(s, optimum=optimum),
         check_logit_target_equivalence(s, optimum=optimum),
-        check_multi_language_minimality(s, optimum=optimum),
+        minimality,
         check_multi_language_consistency(s, optimum=optimum),
     ]
-    return results
 
 
 def builtin_suite() -> list[tuple[str, Scenario]]:
