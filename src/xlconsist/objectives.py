@@ -215,6 +215,11 @@ def _logp_at(d: LogDist, ids: Sequence[int]) -> np.ndarray:
     return out
 
 
+def _floor_zeros(logp: np.ndarray) -> np.ndarray:
+    """A copy with only the zero-mass (``-inf``) entries lifted to ``LOG_EPS``."""
+    return np.where(logp == -math.inf, LOG_EPS, logp)
+
+
 def _check_prompt(scenario: Scenario, prompt: int, lang: int) -> None:
     if prompt not in scenario.space(lang).candidates:
         raise ValueError(f"prompt {prompt} is not a prompt of language {lang}")
@@ -310,9 +315,9 @@ def _tilted_row(
     floor_used = False
     for beta, target in tilts:
         log_t = _logp_at(target, ref_row.support)
-        if np.any((log_t < LOG_EPS) & (ref_row.probs > 0)):
+        if np.any((log_t == -math.inf) & (ref_row.probs > 0)):
             floor_used = True
-            log_t = np.maximum(log_t, LOG_EPS)
+            log_t = _floor_zeros(log_t)
         unnorm = unnorm + beta * log_t
     log_z = logsumexp(unnorm)
     return LogDist.from_logp(ref_row.support, unnorm), log_z, floor_used
@@ -371,13 +376,13 @@ def n_language_log_targets(
     targets: Mapping[tuple[int, int, int], LogDist],
 ) -> np.ndarray:
     """Per-candidate regression targets: log reference plus, for every other
-    language, the strength times the log round-trip target, all floored
-    and aligned with the reference row's support order."""
+    language, the strength times the log round-trip target, with zero
+    masses floored, aligned with the reference row's support order."""
     _check_prompt(scenario, prompt, lang)
     ref_row = scenario.ref[lang].row(prompt)
-    out = np.maximum(ref_row.logp, LOG_EPS).copy()
+    out = _floor_zeros(ref_row.logp)
     for via in _routes(scenario, lang):
-        log_t = np.maximum(_logp_at(targets[(lang, via, prompt)], ref_row.support), LOG_EPS)
+        log_t = _floor_zeros(_logp_at(targets[(lang, via, prompt)], ref_row.support))
         out += scenario.beta(lang, via) * log_t
     return out
 

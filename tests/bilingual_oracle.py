@@ -97,8 +97,9 @@ def dco_log_targets(
     beta = scenario.beta(lang, via)
     ref_row = scenario.ref[lang].row(prompt)
     target = round_trip_target(scenario, lang, via, prompt, mc=mc)
-    log_t = np.maximum(_logp_at(target, ref_row.support), LOG_EPS)
-    log_ref = np.maximum(ref_row.logp, LOG_EPS)
+    log_t = _logp_at(target, ref_row.support)
+    log_t = np.where(log_t == -math.inf, LOG_EPS, log_t)
+    log_ref = np.where(ref_row.logp == -math.inf, LOG_EPS, ref_row.logp)
     return beta * log_t + log_ref
 
 
@@ -118,8 +119,8 @@ def bilingual_optimum(
             target = round_trip_target(scenario, lang, via, prompt, mc=mc)
             targets[(lang, via, prompt)] = target
             log_t = _logp_at(target, ref_row.support)
-            if np.any((log_t < LOG_EPS) & (ref_row.probs > 0)):
-                log_t = np.maximum(log_t, LOG_EPS)
+            if np.any((log_t == -math.inf) & (ref_row.probs > 0)):
+                log_t = np.where(log_t == -math.inf, LOG_EPS, log_t)
                 floored.append((lang, prompt))
             unnorm = ref_row.logp + beta * log_t
             rows[prompt] = LogDist.from_logp(ref_row.support, unnorm)

@@ -36,7 +36,11 @@ from xlconsist.optim import (
     fit_dco,
     fit_pco_reinforce,
 )
-from xlconsist.propositions import run_checks
+from xlconsist.propositions import (
+    check_logit_target_equivalence,
+    check_optimum_consistency,
+    run_checks,
+)
 from xlconsist.scenario import GeneratorConfig, generate
 
 
@@ -172,6 +176,20 @@ class TestClosedFormOptimum:
         opt = closed_form_optimum(world)
         assert (0, 0) in opt.floored
         assert opt.row(0, 0).prob(2) > 0  # floored, not annihilated
+
+    def test_tiny_positive_target_mass_not_floored(self):
+        # only zero masses are lifted: 1e-14 lies below the floor's 1e-12
+        # but is a real mass, so the row is the exact geometric mean
+        world = tiny_bilingual([0.5, 0.5], [1.0 - 1e-14, 1e-14])
+        opt = closed_form_optimum(world)
+        assert opt.floored == ()
+        t = round_trip_target(world, 0, 1, 0)
+        assert 0.0 < t.prob(2) < 1e-12
+        unnorm = world.ref[0].row(0).logp + t.logp
+        assert opt.row(0, 0).logp.tobytes() == LogDist.from_logp((1, 2), unnorm).logp.tobytes()
+        targets = n_language_log_targets(world, prompt=0, lang=0,
+                                         targets=round_trip_targets(world))
+        assert targets.tobytes() == unnorm.tobytes()
 
     def test_requires_two_languages(self):
         s3 = tiny_trilingual([[0.8, 0.2], [0.4, 0.6], [0.5, 0.5]])
@@ -381,3 +399,30 @@ class TestTargetsBuiltOnce:
         distinct = {(lang, via, p) for lang in s.lang_ids for via in s.lang_ids
                     if via != lang for p in s.space(lang).prompts}
         assert sorted(calls) == sorted(distinct)
+
+
+# eval-sparse pool worlds (4 prompts x 6 candidates, sharpness 0.3) whose
+# round-trip targets carry masses in (0, 1e-12): lifting those to the floor
+# broke the exact geometric mean and failed both checks below
+TINY_MASS_WORLDS = {
+    "bench-seed-4-world-6": GeneratorConfig(
+        n_langs=2, n_prompts=4, n_candidates=6, u=(1.0, 2.0), v=(1.0, 0.5),
+        ref_sharpness=0.3, seed=386977619),
+    "bench-seed-28-world-3": GeneratorConfig(
+        n_langs=2, n_prompts=4, n_candidates=6, u=(1.0, 0.5), v=(1.0, 2.0),
+        ref_sharpness=0.3, seed=972408974),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_MASS_WORLDS))
+def test_tiny_target_masses_keep_the_optimum_exact(name):
+    s = generate(TINY_MASS_WORLDS[name])
+    opt = closed_form_optimum(s)
+    tiny = [key for key, t in opt.targets.items()
+            if np.any((t.probs > 0) & (t.probs < 1e-12))]
+    assert tiny, "the world no longer exercises sub-floor masses"
+    assert opt.floored == ()
+    consistency = check_optimum_consistency(s, optimum=opt)
+    assert consistency.status == "pass", (consistency.detail, consistency.observed)
+    equivalence = check_logit_target_equivalence(s, optimum=opt)
+    assert equivalence.status == "pass", (equivalence.detail, equivalence.observed)
