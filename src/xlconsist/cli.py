@@ -38,6 +38,12 @@ from xlconsist.scenario import (
     GeneratorConfig,
     Scenario,
     ScenarioFormatError,
+    _id,
+    _ids,
+    _list,
+    _need,
+    _object,
+    _row_dist,
     generate,
     load,
     save,
@@ -163,18 +169,26 @@ def _load_policy_file(path: str, scenario: Scenario) -> dict[int, StochasticKern
         raise CliError(f"policy file not found: {path}")
     except json.JSONDecodeError as err:
         raise CliError(f"cannot parse policy {path}: line {err.lineno}: {err.msg}")
-    if doc.get("version") != "1":
-        raise CliError(f"unsupported policy version {doc.get('version')!r}")
     per_lang: dict[int, dict[int, LogDist]] = {lang: {} for lang in scenario.lang_ids}
-    for row in doc.get("rows", []):
-        lang, p = int(row["lang"]), int(row["prompt"])
-        if lang not in per_lang:
-            raise CliError(f"policy row for unknown language {lang}")
-        try:
-            per_lang[lang][p] = LogDist.from_probs(
-                tuple(int(i) for i in row["support"]), row["probs"])
-        except ValueError as err:
-            raise CliError(f"policy row lang={lang} prompt={p}: {err}")
+    try:
+        version = _need(doc, "version", "document")
+        if version != "1":
+            raise CliError(f"unsupported policy version {version!r}")
+        for row in _need(doc, "rows", "document", _list):
+            lang = _need(row, "lang", "row", _id)
+            if lang not in per_lang:
+                raise ScenarioFormatError(f"row for unknown language {lang}")
+            p = _need(row, "prompt", f"row lang={lang}", _id)
+            where = f"row lang={lang} prompt={p}"
+            candidates = scenario.space(lang).candidates.get(p)
+            if candidates is None:
+                raise ScenarioFormatError(f"{where}: prompt not in the scenario")
+            if _need(row, "support", where, _ids) != tuple(sorted(candidates)):
+                raise ScenarioFormatError(f"{where}: support is not the candidates "
+                                          f"{sorted(candidates)}")
+            per_lang[lang][p] = _row_dist(candidates, _need(row, "probs", where, _list), where)
+    except ScenarioFormatError as err:
+        raise CliError(f"policy {path}: {err}")
     for lang in scenario.lang_ids:
         missing = set(scenario.space(lang).prompts) - set(per_lang[lang])
         if missing:
@@ -275,6 +289,38 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _report_rows(doc, path: str, merged: list[dict]) -> None:
+    """Append the long-format rows of one metrics document to ``merged``."""
+    version = _need(doc, "version", path)
+    if version != "1":
+        raise CliError(f"{path}: unsupported metrics version {version!r}")
+    scenario = doc.get("scenario", Path(path).name)
+    policy = doc.get("policy", "")
+    seed = doc.get("seed", "")
+
+    def add(metric, scope, value):
+        merged.append({"scenario": scenario, "policy": policy, "metric": metric,
+                       "scope": scope, "value": value, "seed": seed})
+
+    rankc = _need(doc, "rankc", path, _object)
+    add("clc_all", "all", _need(rankc, "clc_all", f"{path} rankc"))
+    for pair in _need(rankc, "pairs", f"{path} rankc", _list):
+        scope = "-".join(str(x) for x in _need(pair, "langs", f"{path} rankc pair", _list))
+        add("clc", scope, _need(pair, "clc", f"{path} rankc pair {scope}"))
+        for g, v in enumerate(_need(pair, "per_prompt", f"{path} rankc pair {scope}", _list)):
+            add("rankc", f"{scope}[{g}]", v)
+    for lang, v in _need(doc, "accuracy", path, _object).items():
+        add("accuracy", lang, v)
+    for lang, v in _object(doc.get("changed_fraction", {}), f"{path} changed_fraction").items():
+        add("changed_fraction", lang, v)
+    for lang, stats in _object(doc.get("entropy", {}), f"{path} entropy").items():
+        where = f"{path} entropy {lang}"
+        for part in ("correct", "incorrect"):
+            if _object(stats, where).get(part) is not None:
+                add(f"entropy_{part}_mean", lang, _need(stats[part], "mean", f"{where} {part}"))
+                add(f"entropy_{part}_std", lang, _need(stats[part], "std", f"{where} {part}"))
+
+
 def cmd_report(args) -> int:
     started = _now()
     merged = []
@@ -285,31 +331,10 @@ def cmd_report(args) -> int:
             raise CliError(f"metrics file not found: {path}")
         except json.JSONDecodeError as err:
             raise CliError(f"cannot parse {path}: {err.msg}")
-        if doc.get("version") != "1":
-            raise CliError(f"{path}: unsupported metrics version {doc.get('version')!r}")
-        scenario = doc.get("scenario", Path(path).name)
-        policy = doc.get("policy", "")
-        seed = doc.get("seed", "")
-
-        def add(metric, scope, value):
-            merged.append({"scenario": scenario, "policy": policy, "metric": metric,
-                           "scope": scope, "value": value, "seed": seed})
-
-        add("clc_all", "all", doc["rankc"]["clc_all"])
-        for pair in doc["rankc"]["pairs"]:
-            scope = "-".join(str(x) for x in pair["langs"])
-            add("clc", scope, pair["clc"])
-            for g, v in enumerate(pair["per_prompt"]):
-                add("rankc", f"{scope}[{g}]", v)
-        for lang, v in doc["accuracy"].items():
-            add("accuracy", lang, v)
-        for lang, v in doc.get("changed_fraction", {}).items():
-            add("changed_fraction", lang, v)
-        for lang, stats in doc.get("entropy", {}).items():
-            for part in ("correct", "incorrect"):
-                if stats.get(part) is not None:
-                    add(f"entropy_{part}_mean", lang, stats[part]["mean"])
-                    add(f"entropy_{part}_std", lang, stats[part]["std"])
+        try:
+            _report_rows(doc, path, merged)
+        except ScenarioFormatError as err:
+            raise CliError(str(err))
     out = Path(args.out)
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(

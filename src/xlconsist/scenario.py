@@ -578,6 +578,12 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{where}: expected an object")
+    return value
+
+
 def _id(value, where: str) -> int:
     try:
         return operator.index(value)

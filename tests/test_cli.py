@@ -125,6 +125,43 @@ class TestEval:
         assert run("eval", "--scenario", bench, "--policy",
                    tmp_path / "missing.json", "--out", tmp_path / "m.json") == 1
 
+    def test_malformed_policy_exits_one(self, bench, tmp_path, capsys):
+        # each case names the field; none may end in a traceback, or load
+        # and fail later in the consistency search
+        pol = tmp_path / "policy.json"
+        run("fit", "--scenario", bench, "--method", "dco", "--out", pol)
+        good = json.loads(pol.read_text())
+
+        def without(key):
+            doc = json.loads(json.dumps(good))
+            del doc["rows"][0][key]
+            return doc
+
+        def with_row(**fields):
+            doc = json.loads(json.dumps(good))
+            doc["rows"][0].update(fields)
+            return doc
+
+        cases = [
+            ("version", good["rows"]),
+            ("prompt", without("prompt")),
+            ("support", without("support")),
+            ("probs", without("probs")),
+            ("support", with_row(support=[999], probs=[1.0])),
+            ("support", with_row(support=good["rows"][0]["support"][::-1])),
+            ("lang", with_row(lang="0")),
+            ("rows", {"version": "1", "rows": 5}),
+            ("prompt not in the scenario", with_row(prompt=12345)),
+            ("probabilities sum", with_row(probs=[0.5] * len(good["rows"][0]["probs"]))),
+        ]
+        bad = tmp_path / "bad.json"
+        for field, doc in cases:
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("eval", "--scenario", bench, "--policy", bad,
+                       "--out", tmp_path / "m.json") == 1, field
+            assert field in capsys.readouterr().err, field
+
     def test_invalid_scenario_exits_one(self, bench, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -265,6 +302,31 @@ class TestReport:
             rows = [r for r in csv.DictReader(fh) if r["metric"] == "clc_all"]
         assert len(rows) == 2
         assert {r["policy"] for r in rows} == {"ref", "optimum"}
+
+    def test_malformed_metrics_exit_one(self, bench, tmp_path, capsys):
+        good = json.loads(self._metrics(bench, tmp_path, "m.json", "ref").read_text())
+
+        def edited(edit):
+            doc = json.loads(json.dumps(good))
+            edit(doc)
+            return doc
+
+        cases = [
+            ("rankc", {"version": "1"}),
+            ("version", [good]),
+            ("clc_all", edited(lambda d: d["rankc"].pop("clc_all"))),
+            ("langs", edited(lambda d: d["rankc"]["pairs"].__setitem__(0, 3))),
+            ("per_prompt", edited(lambda d: d["rankc"]["pairs"][0].pop("per_prompt"))),
+            ("accuracy", edited(lambda d: d.pop("accuracy"))),
+            ("entropy", edited(lambda d: d.__setitem__("entropy", []))),
+            ("std", edited(lambda d: d["entropy"]["0"].__setitem__("correct", {"mean": 1.0}))),
+        ]
+        bad = tmp_path / "bad.json"
+        for field, doc in cases:
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("report", bad, "--out", tmp_path / "r.csv") == 1, field
+            assert field in capsys.readouterr().err, field
 
     def test_mixed_schema_versions_exit_one(self, bench, tmp_path):
         m = self._metrics(bench, tmp_path, "m.json", "ref")
