@@ -201,9 +201,13 @@ def entropy(d: LogDist) -> float:
 
 
 def total_variation(p: LogDist, q: LogDist) -> float:
-    """TV distance over the union of the two supports."""
-    ids = sorted(set(p.support) | set(q.support))
-    return 0.5 * sum(abs(p.prob(i) - q.prob(i)) for i in ids)
+    """TV distance over the union of the two supports, summed in ascending
+    ID order one term at a time: the builtin ``sum`` compensates its
+    rounding from Python 3.12 on, which would change these bits."""
+    total = 0.0
+    for i in sorted(set(p.support) | set(q.support)):
+        total += abs(p.prob(i) - q.prob(i))
+    return 0.5 * total
 
 
 def embed(d: LogDist, universe: Iterable[int]) -> LogDist:

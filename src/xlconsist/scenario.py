@@ -603,7 +603,9 @@ def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
         raise ScenarioFormatError(f"{where}: probs must be numbers")
     if len(support) != len(probs):
         raise ScenarioFormatError(f"{where}: {len(probs)} probabilities for {len(support)} ids")
-    total = float(sum(probs))
+    total = 0.0
+    for x in probs:  # in order, as the builtin sum adds floats before Python 3.12
+        total += x
     if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise ScenarioFormatError(f"{where}: probabilities sum to {total!r}, not 1")
     try:

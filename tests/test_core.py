@@ -159,6 +159,17 @@ class TestEntropy:
         assert -1e-12 <= h <= math.log(len(d.support)) + 1e-9
 
 
+class TestTotalVariation:
+    def test_terms_added_in_order(self):
+        # the six terms are 0.7, 0.2, 0.1 twice; added one at a time in ID
+        # order they round to just below 2, while compensated summation
+        # (the builtin sum from Python 3.12 on, or math.fsum) gives 2 exactly
+        p = LogDist.from_probs((0, 1, 2), [0.7, 0.2, 0.1])
+        q = LogDist.from_probs((3, 4, 5), [0.7, 0.2, 0.1])
+        assert math.fsum([0.7, 0.2, 0.1] * 2) == 2.0
+        assert total_variation(p, q).hex() == "0x1.fffffffffffffp-1"
+
+
 def swap_kernel(domain=0, codomain=0):
     return StochasticKernel(domain, codomain, {
         0: LogDist.point_mass((0, 1), on=1),

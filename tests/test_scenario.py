@@ -221,6 +221,17 @@ class TestSerialization:
             with pytest.raises(ScenarioFormatError, match=where + ".*sum"):
                 load(path)
 
+    def test_row_sum_added_in_order(self, tmp_path):
+        # compensated summation (the builtin sum from Python 3.12 on) would
+        # report 2.0; the file check adds the probabilities one at a time
+        doc = scenario_to_dict(generate(BIJ))
+        doc["ref_kernels"][0]["rows"][0]["probs"] = [0.7, 0.2, 0.1, 0.7, 0.2, 0.1]
+        doc["languages"][0]["prompts"][0]["candidates"] += [98, 99]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match="sum to 1.9999999999999998,"):
+            load(path)
+
     def test_unsupported_version_rejected(self, tmp_path):
         doc = scenario_to_dict(generate(BIJ))
         doc["version"] = "2"
