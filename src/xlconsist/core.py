@@ -165,7 +165,7 @@ def anneal(d: LogDist, temp: Temperature | float) -> LogDist:
     return LogDist(d.support, probs[0], logp[0])
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """:func:`logsumexp` of each row of (n, k) ``a``, same bits; rows need a finite max."""
     m = a.max(axis=1)
     sums = np.exp(a - m[:, None]).sum(axis=1)
@@ -184,10 +184,10 @@ def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("log-weights must be finite or -inf")
     if (lp.max(axis=1) == -math.inf).any():
         raise ValueError("all log-weights are -inf")
-    lp = lp - _logsumexp_rows(lp)[:, None]
+    lp = lp - logsumexp_rows(lp)[:, None]
     if (lp > 1e-12).any():
         raise ValueError("log-probability above 0")
-    total = _logsumexp_rows(lp)
+    total = logsumexp_rows(lp)
     off = ~(np.abs(total) <= NORMALIZATION_TOL)
     if off.any():
         raise ValueError(f"distribution not normalized: logsumexp={float(total[off][0])!r}")

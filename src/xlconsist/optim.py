@@ -15,18 +15,24 @@ target table and must agree at convergence.
 Progress is measured in policy space (total-variation between consecutive
 policies, and against the closed form), not in raw loss, because the loss
 is sensitive to per-prompt shifts the induced policy ignores.
+
+Both fitters keep their scores stacked, one (n, C) array per support
+length C, and add per-prompt values one prompt at a time in ascending ID,
+so every bit is that of one-row arithmetic.  The on-policy step resolves
+each slot's prompt first, then updates in waves: wave k holds the k-th
+draw of each prompt, so repeats stay sequential and distinct prompts
+update together.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from xlconsist.core import LogDist, StochasticKernel, logsumexp, total_variation
+from xlconsist.core import StochasticKernel, StructuralError, anneal_rows, logsumexp_rows
 from xlconsist.objectives import (
     LogitTable,
     dco_loss,
@@ -96,35 +102,53 @@ class TrainTrace:
         return self.rows[-1].tv_to_optimum if self.rows else math.inf
 
     def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "iteration": r.iteration,
-                "loss": r.loss,
-                "tv_to_optimum": r.tv_to_optimum,
-                "samples": r.samples,
-                "millis": r.millis,
-            }
-            for r in self.rows
-        ]
-
-
-def _max_row_tv(rows_a: Mapping[int, LogDist], rows_b: Mapping[int, LogDist]) -> float:
-    return max(total_variation(rows_a[p], rows_b[p]) for p in rows_a)
-
-
-def _policy_rows(table_rows: dict[int, np.ndarray], supports) -> dict[int, LogDist]:
-    return {p: LogDist.from_logp(supports[p], z) for p, z in table_rows.items()}
+        return [asdict(r) for r in self.rows]
 
 
 def _start(scenario: Scenario):
-    """What both fitters start from: the target table, the prior weights,
-    the closed-form rows, the reference scores and their supports."""
+    """What both fitters start from: the prompts of each support length in
+    ascending ID, per length the stacked reference scores, regression targets
+    and closed-form probabilities, then the prior weights and the supports."""
     optimum = n_language_optimum(scenario)
     opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
     init = initial_logits(scenario)
-    z = {p: init.rows[p].copy() for p in init.prompts()}
-    return (target_table(scenario, optimum.targets), prior_weights(scenario), opt_rows, z,
-            init.supports)
+    targets = target_table(scenario, optimum.targets)
+    order = init.prompts()
+    for p in order:
+        if opt_rows[p].support != init.supports[p]:
+            raise StructuralError(f"row {p}: policy and optimum supports differ")
+    lengths = sorted({len(init.supports[p]) for p in order})
+    groups = [[p for p in order if len(init.supports[p]) == c] for c in lengths]
+    z, t, o = ([np.array([rows[p] for p in g]) for g in groups]
+               for rows in (init.rows, targets.rows, {p: r.probs for p, r in opt_rows.items()}))
+    return groups, z, t, o, prior_weights(scenario), init.supports
+
+
+def _softmax(zs: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """(logp, probs) stacks, with the bits and checks of ``LogDist.from_logp``."""
+    return tuple(zip(*(anneal_rows(z, np.ones(len(z))) for z in zs)))
+
+
+def _max_tv(ps, qs) -> float:
+    """Largest row total variation between probability stacks; ``cumsum``
+    adds each row's terms one at a time, as ``total_variation`` does."""
+    return max(float(np.max(0.5 * np.cumsum(np.abs(p - q), axis=1)[:, -1]))
+               for p, q in zip(ps, qs))
+
+
+def _in_order(groups, per_row, weight) -> float:
+    """Sum of ``weight(p)`` times each row's value, one prompt at a time in ascending ID."""
+    value = {p: v for g, vals in zip(groups, per_row) for p, v in zip(g, vals.tolist())}
+    total = 0.0
+    for p in sorted(value):
+        total += weight(p) * value[p]
+    return total
+
+
+def _table(supports, groups, zs: list[np.ndarray]) -> LogitTable:
+    """The stacks as a table; ``LogitTable`` names the first non-finite row."""
+    return LogitTable(supports, dict(sorted(
+        (p, row) for g, z in zip(groups, zs) for p, row in zip(g, z))))
 
 
 def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, TrainTrace]:
@@ -136,14 +160,18 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
     """
     if config.method != METHOD_DCO:
         raise ValueError(f"fit_dco requires method {METHOD_DCO!r}")
-    targets, weights, opt_rows, z, supports = _start(scenario)
+    groups, z, targets, opt, weights, supports = _start(scenario)
+    step_weights = [np.array([weights[p] for p in g])[:, None] for g in groups]
 
-    def loss_of(rows: dict[int, np.ndarray]) -> float:
-        return dco_loss(LogitTable(supports, rows), targets, norm=config.norm,
-                        weights=weights)
+    def loss_of(zs: list[np.ndarray]) -> float:
+        resid = [row - t for row, t in zip(zs, targets)]
+        per = [np.abs(r).sum(axis=1) if config.norm == "l1" else (r ** 2).sum(axis=1)
+               for r in resid]
+        return _in_order(groups, per, lambda p: weights.get(p, 0.0))
 
     loss = loss_of(z)
-    policy = _policy_rows(z, supports)
+    _, policy = _softmax(z)
+    tv_opt = _max_tv(policy, opt)
     step = config.step_size
     stalls = 0
     trace: list[TraceRow] = []
@@ -153,32 +181,33 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
 
     if loss == 0.0:
         # already at the targets: nothing to iterate
-        tv_opt = _max_row_tv(policy, opt_rows)
         trace.append(TraceRow(0, loss, tv_opt, 0, 0.0))
-        return LogitTable(supports, z), TrainTrace(tuple(trace), True)
+        return _table(supports, groups, z), TrainTrace(tuple(trace), True)
 
     for it in range(1, config.max_iters + 1):
-        proposal = {}
+        proposal = []
         pure_shift = True
-        for p, row in z.items():
-            resid = row - targets.rows[p]
+        for row, t, w in zip(z, targets, step_weights):
+            resid = row - t
             if config.norm == "l1":
                 # clip each coordinate at its kink: the L1 loss is exactly
                 # minimized along the coordinate there, and overshooting
                 # would only oscillate
-                move = np.sign(resid) * np.minimum(step * weights[p], np.abs(resid))
+                move = np.sign(resid) * np.minimum(step * w, np.abs(resid))
             else:
-                move = step * weights[p] * 2.0 * resid
-            if pure_shift and np.ptp(move) > 1e-15:
-                pure_shift = False
-            proposal[p] = row - move
+                move = step * w * 2.0 * resid
+            pure_shift = pure_shift and not (np.ptp(move, axis=1) > 1e-15).any()
+            proposal.append(row - move)
+        if not all(np.isfinite(row).all() for row in proposal):
+            _table(supports, groups, proposal)
         new_loss = loss_of(proposal)
         accepted = new_loss <= loss
         if accepted:
             z = proposal
-            new_policy = _policy_rows(z, supports)
-            moved = _max_row_tv(new_policy, policy)
+            _, new_policy = _softmax(z)
+            moved = _max_tv(new_policy, policy)
             policy = new_policy
+            tv_opt = _max_tv(policy, opt)
             loss = new_loss
             stalls = 0
         else:
@@ -186,7 +215,6 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
             stalls += 1
             moved = None
 
-        tv_opt = _max_row_tv(policy, opt_rows)
         trace.append(TraceRow(it, loss, tv_opt, 0,
                               (time.perf_counter() - started) * 1e3))
         if loss == 0.0:
@@ -208,8 +236,25 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
 
     if not converged and not diagnostic:
         diagnostic = f"no convergence within {config.max_iters} iterations"
-    table = LogitTable(supports, z)
-    return table, TrainTrace(tuple(trace), converged, diagnostic)
+    return _table(supports, groups, z), TrainTrace(tuple(trace), converged, diagnostic)
+
+
+def _score_step(z: np.ndarray, targets: np.ndarray, rows: list[int], u: np.ndarray,
+                step: float) -> None:
+    """One score-function update, in place, of the distinct ``rows`` of
+    ``z``, row i drawing its roll-outs from the uniforms ``u[i]``."""
+    (n, rollouts), c = u.shape, z.shape[1]
+    row = z[rows]
+    lp = row - logsumexp_rows(row)[:, None]
+    pi = np.exp(lp)
+    # counting cumulative masses at or below u is searchsorted(side="right")
+    draws = np.minimum((np.cumsum(pi, axis=1)[:, None] <= u[:, :, None]).sum(axis=2), c - 1)
+    at = np.arange(n)[:, None]
+    reward = targets[rows][at, draws] - lp[at, draws]
+    adv = reward - (reward.sum(axis=1) / rollouts)[:, None]
+    grad = np.bincount((draws + c * at).ravel(), weights=adv.ravel(), minlength=n * c)
+    grad = grad.reshape(n, c)
+    z[rows] = row + step * (grad / rollouts - pi * (adv.sum(axis=1) / rollouts)[:, None])
 
 
 def fit_pco_reinforce(
@@ -230,73 +275,67 @@ def fit_pco_reinforce(
     if config.method != METHOD_REINFORCE:
         raise ValueError(f"fit_pco_reinforce requires method {METHOD_REINFORCE!r}")
     rng = np.random.default_rng(config.seed)
-    targets, weights, opt_rows, z, supports = _start(scenario)
+    groups, z, targets, opt, weights, supports = _start(scenario)
+    where = {p: (g, r) for g, ps in enumerate(groups) for r, p in enumerate(ps)}
     langs = scenario.lang_ids
-    prior_cums = {
-        lang: (np.cumsum(scenario.priors[lang].probs),
-               np.asarray(scenario.priors[lang].support))
-        for lang in langs
-    }
+    prior_cums = [(np.cumsum(scenario.priors[lang].probs),
+                   np.asarray(scenario.priors[lang].support)) for lang in langs]
 
-    def objective(policy: dict[int, LogDist]) -> float:
+    def objective(lps, probs) -> float:
         # exact prior-weighted objective given the fixed target table
-        total = 0.0
-        for p, row in policy.items():
-            total += weights[p] * float(np.sum(row.probs * (row.logp - targets.rows[p])))
-        return total
+        per = [(pi * (lp - t)).sum(axis=1) for lp, pi, t in zip(lps, probs, targets)]
+        return _in_order(groups, per, weights.__getitem__)
 
     trace: list[TraceRow] = []
     samples = 0
-    prev_policy = _policy_rows(z, supports)
+    lps, prev_policy = _softmax(z)
     converged = False
     diagnostic = ""
     worsening = 0
-    last_objective = objective(prev_policy)
+    last_objective = objective(lps, prev_policy)
     started = time.perf_counter()
 
     for it in range(1, config.max_iters + 1):
-        for _ in range(config.batch):
-            lang = langs[int(rng.random() * len(langs)) % len(langs)]
-            cum, sup = prior_cums[lang]
-            p = int(sup[min(int(np.searchsorted(cum, rng.random(), side="right")),
-                            len(sup) - 1)])
-            row = z[p]
-            lp = row - logsumexp(row)
-            pi = np.exp(lp)
-            cum_pi = np.cumsum(pi)
-            draws = np.minimum(
-                np.searchsorted(cum_pi, rng.random(config.rollouts), side="right"),
-                len(pi) - 1,
-            )
-            reward = targets.rows[p][draws] - lp[draws]
-            adv = reward - reward.mean()
-            grad = np.zeros_like(row)
-            np.add.at(grad, draws, adv)
-            grad = grad / config.rollouts - pi * (adv.mean())
-            z[p] = row + config.step_size * grad
+        # per slot: a language, a prompt and the roll-outs' uniforms
+        u = rng.random(config.batch * (2 + config.rollouts)).reshape(config.batch, -1)
+        lang_at = (u[:, 0] * len(langs)).astype(int) % len(langs)
+        slot_prompt = np.empty(config.batch, dtype=int)
+        for k, (cum, sup) in enumerate(prior_cums):
+            at = lang_at == k
+            slot_prompt[at] = sup[np.minimum(np.searchsorted(cum, u[at, 1], side="right"),
+                                             len(sup) - 1)]
+        # (draw number, length group) -> slots; a prompt's k-th draw is
+        # keyed after its (k-1)-th, so each group's waves run in order
+        waves: dict[tuple[int, int], list[int]] = {}
+        drawn: dict[int, int] = {}
+        for b, p in enumerate(slot_prompt.tolist()):
+            drawn[p] = drawn.get(p, -1) + 1
+            waves.setdefault((drawn[p], where[p][0]), []).append(b)
+        for (_, g), slots in waves.items():
+            rows = [where[int(slot_prompt[b])][1] for b in slots]
+            _score_step(z[g], targets[g], rows, u[slots, 2:], config.step_size)
         samples += config.batch * config.rollouts
 
-        if any(not np.all(np.isfinite(r)) for r in z.values()):
+        if not all(np.isfinite(row).all() for row in z):
             diagnostic = "non-finite parameters"
             break
-        policy = _policy_rows(z, supports)
-        obj = objective(policy)
+        lps, probs = _softmax(z)
+        obj = objective(lps, probs)
         worsening = worsening + 1 if obj > last_objective else 0
         last_objective = obj
-        tv_opt = _max_row_tv(policy, opt_rows)
-        trace.append(TraceRow(it, obj, tv_opt, samples,
+        trace.append(TraceRow(it, obj, _max_tv(probs, opt), samples,
                               (time.perf_counter() - started) * 1e3))
-        if _max_row_tv(policy, prev_policy) <= config.tol:
+        if _max_tv(probs, prev_policy) <= config.tol:
             converged = True
             break
-        prev_policy = policy
+        prev_policy = probs
         if worsening >= _DIVERGENCE_PATIENCE:
             diagnostic = f"objective increased for {worsening} consecutive iterations"
             break
 
     if not diagnostic and not converged:
         converged = True  # ran its budget without diverging
-    table = LogitTable(supports, z)
+    table = _table(supports, groups, z)
     return policy_kernels(table, scenario), TrainTrace(tuple(trace), converged, diagnostic)
 
 
