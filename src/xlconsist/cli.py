@@ -42,6 +42,7 @@ from xlconsist.scenario import (
     _ids,
     _list,
     _need,
+    _new,
     _object,
     _row_dist,
     generate,
@@ -178,7 +179,8 @@ def _load_policy_file(path: str, scenario: Scenario) -> dict[int, StochasticKern
             lang = _need(row, "lang", "row", _id)
             if lang not in per_lang:
                 raise ScenarioFormatError(f"row for unknown language {lang}")
-            p = _need(row, "prompt", f"row lang={lang}", _id)
+            p = _new(_need(row, "prompt", f"row lang={lang}", _id), per_lang[lang],
+                     f"row lang={lang} prompt")
             where = f"row lang={lang} prompt={p}"
             candidates = scenario.space(lang).candidates.get(p)
             if candidates is None:

@@ -598,6 +598,13 @@ def _ids(value, where: str, width: int | None = None) -> tuple[int, ...]:
     return ids
 
 
+def _new(key, seen, where: str):
+    """``key``, refused if ``seen`` holds it: a second entry never replaces the first."""
+    if key in seen:
+        raise ScenarioFormatError(f"{where} {key!r} appears twice")
+    return key
+
+
 def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
     if not all(type(x) in (int, float) for x in probs):
         raise ScenarioFormatError(f"{where}: probs must be numbers")
@@ -620,17 +627,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioFormatError(f"unsupported scenario version {version!r}")
     seed = _need(doc, "seed", "document", _id)
 
-    spaces = []
+    by_id = {}
     for entry in _need(doc, "languages", "document", _list):
-        lang = _need(entry, "id", "languages", _id)
+        lang = _new(_need(entry, "id", "languages", _id), by_id, "languages id")
         prompts, candidates = [], {}
         for p in _need(entry, "prompts", f"language {lang}", _list):
             pid = _need(p, "id", f"language {lang} prompt", _id)
             prompts.append(pid)
             candidates[pid] = _need(p, "candidates", f"prompt {pid}", _ids)
-        spaces.append(LanguageSpace(lang, tuple(prompts), candidates))
-    by_id = {sp.lang_id: sp for sp in spaces}
-    index_of = {sp.lang_id: i for i, sp in enumerate(spaces)}
+        by_id[lang] = LanguageSpace(lang, tuple(prompts), candidates)
+    spaces = list(by_id.values())
+    index_of = {lang: i for i, lang in enumerate(by_id)}
 
     align = _need(doc, "alignment", "document")
     n = len(spaces)
@@ -647,12 +654,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     ref = {}
     for entry in _need(doc, "ref_kernels", "document", _list):
-        m = _need(entry, "lang", "ref_kernels", _id)
+        m = _new(_need(entry, "lang", "ref_kernels", _id), ref, "ref_kernels language")
         if m not in by_id:
             raise ScenarioFormatError(f"ref_kernels: unknown language {m}")
         rows = {}
         for r in _need(entry, "rows", f"ref_kernels[{m}]", _list):
-            p = _need(r, "prompt", "ref row", _id)
+            p = _new(_need(r, "prompt", "ref row", _id), rows, f"ref_kernels[{m}] prompt")
             sup = by_id[m].candidates.get(p)
             if sup is None:
                 raise ScenarioFormatError(f"ref_kernels[{m}]: unknown prompt {p}")
@@ -666,10 +673,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         b = _need(entry, "to", "translators", _id)
         if a not in by_id or b not in by_id:
             raise ScenarioFormatError(f"translators: unknown pair ({a},{b})")
+        _new((a, b), translators, "translators pair")
         pmap = alignment.prompt_map(index_of[a], index_of[b])
         rows = {}
         for r in _need(entry, "rows", f"translator ({a},{b})", _list):
-            i = _need(r, "id", "translator row", _id)
+            i = _new(_need(r, "id", "translator row", _id), rows, f"translator ({a},{b}) row")
             where = f"translator ({a},{b}) row {i}"
             if i in by_id[a].candidates:  # prompt-level row
                 sup: Sequence[int] = by_id[b].prompts
@@ -686,7 +694,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     priors = {}
     for entry in _need(doc, "priors", "document", _list):
-        m = _need(entry, "lang", "priors", _id)
+        m = _new(_need(entry, "lang", "priors", _id), priors, "priors language")
         if m not in by_id:
             raise ScenarioFormatError(f"priors: unknown language {m}")
         priors[m] = _row_dist(by_id[m].prompts, _need(entry, "probs", f"priors[{m}]", _list),

@@ -153,6 +153,8 @@ class TestEval:
             ("rows", {"version": "1", "rows": 5}),
             ("prompt not in the scenario", with_row(prompt=12345)),
             ("probabilities sum", with_row(probs=[0.5] * len(good["rows"][0]["probs"]))),
+            ("prompt 0 appears twice",
+             {"version": "1", "rows": good["rows"] + good["rows"][:1]}),
         ]
         bad = tmp_path / "bad.json"
         for field, doc in cases:
@@ -232,6 +234,14 @@ class TestEval:
         assert run("eval", "--scenario", bad, "--policy", "ref",
                    "--out", tmp_path / "m.json") == 1
         assert "row-per-source-id" in capsys.readouterr().err
+        # a second row for one prompt is refused, not taken last-one-wins
+        doc = json.loads(bench.read_text())
+        doc["ref_kernels"][0]["rows"].append(doc["ref_kernels"][0]["rows"][0])
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--scenario", bad, "--policy", "ref",
+                   "--out", tmp_path / "m.json") == 1
+        assert "ref_kernels[0] prompt 0 appears twice" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -253,3 +253,25 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioFormatError, match="priors"):
             load(path)
+
+    @pytest.mark.parametrize("field, duplicate", [
+        ("languages id 0 appears twice",
+         lambda d: d["languages"].append(d["languages"][0])),
+        ("ref_kernels language 0 appears twice",
+         lambda d: d["ref_kernels"].append(d["ref_kernels"][0])),
+        (r"ref_kernels\[0\] prompt \d+ appears twice",
+         lambda d: d["ref_kernels"][0]["rows"].append(d["ref_kernels"][0]["rows"][1])),
+        (r"translators pair \(0, 1\) appears twice",
+         lambda d: d["translators"].append(d["translators"][0])),
+        (r"translator \(0,1\) row \d+ appears twice",
+         lambda d: d["translators"][0]["rows"].append(d["translators"][0]["rows"][2])),
+        ("priors language 1 appears twice", lambda d: d["priors"].append(d["priors"][1])),
+    ])
+    def test_duplicate_entry_named(self, tmp_path, field, duplicate):
+        # a second entry for the same key is an error, never last-one-wins
+        doc = scenario_to_dict(generate(BIJ))
+        duplicate(doc)
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=field):
+            load(path)
