@@ -43,15 +43,6 @@ from xlconsist.objectives import (
 )
 from xlconsist.scenario import GeneratorConfig, Scenario, cocycle_violations, generate
 
-CHECK_IDS = (
-    "optimum-minimality",
-    "optimum-consistency",
-    "logit-target-equivalence",
-    "multi-language-minimality",
-    "multi-language-consistency",
-)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
