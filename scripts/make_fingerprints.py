@@ -14,12 +14,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from fingerprint_pipeline import compute_fingerprints  # noqa: E402
+from fingerprint_pipeline import compute_fingerprints, environment  # noqa: E402
 
 
 def main():
     out = ROOT / "tests" / "golden" / "fingerprints.json"
-    out.write_text(json.dumps(compute_fingerprints(), indent=1) + "\n")
+    doc = {"environment": environment(), **compute_fingerprints()}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 
 import numpy as np
 
@@ -141,6 +142,12 @@ def _exact_fingerprints(s: Scenario) -> dict[str, str]:
                    for r in run_checks(s, self_test=self_test)]
         out[f"run_checks.self_test={self_test}"] = _text(results)
     return out
+
+
+def environment() -> dict[str, str]:
+    """The interpreter and numpy versions the fingerprints are made under:
+    a last bit can move with either, so a mismatch names them first."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def compute_fingerprints() -> dict[str, dict[str, str]]:
