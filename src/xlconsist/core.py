@@ -15,12 +15,16 @@ Conventions used throughout the package:
 - Infinite divergences are detected explicitly and reported as
   ``INFINITE_DIVERGENCE`` (``math.inf``); they never arise from floating
   overflow.
+- Marginals are exact triple sums in a fixed order: ``pushforward`` keeps
+  each output's terms in ascending input ID and reduces the outputs with
+  equal term counts as one array, with the bits of one ``logsumexp`` each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -268,21 +272,28 @@ def pushforward(outer: StochasticKernel, inner_dist: LogDist) -> LogDist:
 
     Zero-mass entries of the inner distribution need no kernel row; a
     positive-mass entry without a row is a structural error naming the ID.
+    The finite terms of the live inputs' rows, taken in ascending input
+    ID, are stably sorted by output ID; outputs with equal term counts are
+    then reduced as one contiguous (n, k) array, which gives each output
+    the bits of a one-row :func:`logsumexp` over its terms in input order.
     """
-    terms: dict[int, list[float]] = {}
-    for y, ly in zip(inner_dist.support, inner_dist.logp):
-        if ly == -math.inf:
-            continue
-        row = outer.row(y)
-        for z, lz in zip(row.support, row.logp):
-            if lz == -math.inf:
-                continue
-            terms.setdefault(z, []).append(lz + ly)
-    if not terms:
+    rows = [(outer.row(y), ly) for y, ly in zip(inner_dist.support, inner_dist.logp.tolist())
+            if ly != -math.inf]
+    lz = np.concatenate([r.logp for r, _ in rows]) if rows else np.empty(0)
+    ids = np.fromiter(chain.from_iterable(r.support for r, _ in rows), np.int64, len(lz))
+    order = np.argsort(ids, kind="stable")
+    order = order[lz[order] != -math.inf]
+    if not len(order):
         raise StructuralError("pushforward produced an empty distribution")
-    support = sorted(terms)
-    logp = [logsumexp(np.array(terms[z])) for z in support]
-    return LogDist.from_logp(support, logp)
+    ids = ids[order]
+    terms = lz[order] + np.repeat([ly for _, ly in rows], [len(r.logp) for r, _ in rows])[order]
+    edges = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1], [True])))
+    first, counts = edges[:-1], edges[1:] - edges[:-1]
+    logp = np.empty(len(first))
+    for k in set(counts.tolist()):
+        at = counts == k
+        logp[at] = logsumexp_rows(terms[first[at][:, None] + np.arange(k)])
+    return LogDist.from_logp(ids[first].tolist(), logp)
 
 
 def compose(outer: StochasticKernel, inner: StochasticKernel) -> StochasticKernel:
