@@ -146,16 +146,25 @@ def _reachable_support(tau_out, pi, tau_back, prompt) -> tuple[int, ...]:
 
 def _sample(kernel: StochasticKernel, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of one response per key from the kernel's row for
-    that key, one pass per distinct key.  Picks are clamped to the row's
-    positive-mass entries, so every draw lies in the reachable support."""
-    out = np.empty(len(keys), dtype=int)
-    for k in np.unique(keys):
-        row = kernel.row(int(k))
-        live = np.flatnonzero(row.probs)
-        at = keys == k
-        picked = np.searchsorted(np.cumsum(row.probs), u[at], side="left")
-        out[at] = np.asarray(row.support)[np.clip(picked, live[0], live[-1])]
-    return out
+    that key, all keys in one pass.  Column j of the ``+inf``-padded table
+    holds the cumulative sums of the j-th row, so counting the entries below
+    a draw, one table row at a time, is ``searchsorted(side="left")``.
+    Picks are clamped to the row's positive-mass entries, so every draw
+    lies in the reachable support."""
+    ids = np.array(sorted(kernel.rows))
+    at = np.minimum(np.searchsorted(ids, keys), len(ids) - 1)
+    if (ids[at] != keys).any():
+        kernel.row(int(keys[ids[at] != keys].min()))  # raises, naming the key
+    rows = [kernel.rows[i] for i in ids.tolist()]
+    cum = np.full((max(len(r.probs) for r in rows), len(rows)), math.inf)
+    support, bounds = np.zeros(cum.T.shape, dtype=int), np.empty((2, len(rows)), dtype=int)
+    for j, r in enumerate(rows):
+        cum[: len(r.probs), j], support[j, : len(r.probs)] = np.cumsum(r.probs), r.support
+        bounds[:, j] = np.flatnonzero(r.probs)[[0, -1]]
+    picked = np.zeros(len(keys), dtype=int)
+    for col in cum:
+        picked += col[at] < u
+    return support[at, np.clip(picked, *bounds[:, at])]
 
 
 def round_trip_target(
@@ -172,18 +181,27 @@ def round_trip_target(
     returns the identical exact result.  Otherwise estimated from ``mc``
     samples, smoothed at the probability floor, and renormalized.
     """
+    return _route_targets(scenario, lang, via, (prompt,), mc)[0]
+
+
+def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[int],
+                   mc: MonteCarloConfig | None) -> list[LogDist]:
+    """:func:`round_trip_target` of each prompt, in order.  Each target would
+    draw the same ``(mc.samples, 3)`` block from a fresh ``default_rng(mc.seed)``,
+    so the route draws it once and each stage samples every prompt at once."""
     tau_out = scenario.translator(lang, via)
     tau_back = scenario.translator(via, lang)
     pi = scenario.ref[via]
     if mc is None or (tau_out.is_deterministic() and tau_back.is_deterministic()):
-        return round_trip(tau_out, pi, tau_back, prompt)
+        return [round_trip(tau_out, pi, tau_back, prompt) for prompt in prompts]
 
-    support = _reachable_support(tau_out, pi, tau_back, prompt)
-    u = np.random.default_rng(mc.seed).random((mc.samples, 3))
-    xs = _sample(tau_out, np.full(mc.samples, prompt), u[:, 0])
-    zs = _sample(tau_back, _sample(pi, xs, u[:, 1]), u[:, 2])
-    counts = np.bincount(np.searchsorted(support, zs), minlength=len(support))
-    return LogDist.from_probs(support, counts / mc.samples).floored()
+    supports = [_reachable_support(tau_out, pi, tau_back, prompt) for prompt in prompts]
+    u = np.tile(np.random.default_rng(mc.seed).random((mc.samples, 3)), (len(prompts), 1))
+    xs = _sample(tau_out, np.repeat(prompts, mc.samples), u[:, 0])
+    zs = _sample(tau_back, _sample(pi, xs, u[:, 1]), u[:, 2]).reshape(len(prompts), -1)
+    return [LogDist.from_probs(support, np.bincount(np.searchsorted(support, z),
+                                                    minlength=len(support)) / mc.samples).floored()
+            for support, z in zip(supports, zs)]
 
 
 def round_trip_targets(
@@ -191,14 +209,16 @@ def round_trip_targets(
 ) -> dict[tuple[int, int, int], LogDist]:
     """Every round-trip target of the scenario, keyed by (lang, via, prompt).
 
-    Each is computed once; Monte-Carlo targets reseed from ``mc.seed`` per
-    target, so the map does not depend on the order they are built in."""
-    return {
-        (lang, via, prompt): round_trip_target(scenario, lang, via, prompt, mc=mc)
-        for lang in scenario.lang_ids
-        for via in _routes(scenario, lang)
-        for prompt in scenario.space(lang).prompts
-    }
+    Each is computed once.  The Monte-Carlo targets of a route share one
+    block of uniforms, the block a fresh ``default_rng(mc.seed)`` draws for
+    each of them, so the map does not depend on the order they are built in."""
+    targets = {}
+    for lang in scenario.lang_ids:
+        prompts = scenario.space(lang).prompts
+        for via in _routes(scenario, lang):
+            routed = _route_targets(scenario, lang, via, prompts, mc)
+            targets.update(((lang, via, p), t) for p, t in zip(prompts, routed))
+    return targets
 
 
 # ---------------------------------------------------------------------------

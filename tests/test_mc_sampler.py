@@ -1,6 +1,7 @@
 """The Monte-Carlo round trip of ``objectives`` against the sampler it
-replaced, kept in ``mc_sampler_oracle``, bit for bit, and the clamp that
-keeps every draw inside the reachable support.
+replaced, kept in ``mc_sampler_oracle``, bit for bit, one prompt at a time
+and a whole route at once, and the clamp that keeps every draw inside the
+reachable support.
 """
 
 import dataclasses
@@ -11,8 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlconsist.core import LogDist, StochasticKernel
-from xlconsist.objectives import MonteCarloConfig, round_trip_target
+from xlconsist.core import LogDist, StochasticKernel, StructuralError
+from xlconsist.objectives import (
+    MonteCarloConfig,
+    _sample,
+    round_trip_target,
+    round_trip_targets,
+)
 from xlconsist.scenario import (
     Alignment,
     GeneratorConfig,
@@ -39,6 +45,16 @@ def _punched(kernel, rng, trailing):
     return StochasticKernel(kernel.domain, kernel.codomain, rows)
 
 
+def _punched_world(seed, n_langs, n_prompts, n_candidates, noise, trailing):
+    s = generate(GeneratorConfig(n_langs=n_langs, n_prompts=n_prompts,
+                                 n_candidates=n_candidates, translator_mode="noisy",
+                                 noise=noise, seed=seed))
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(
+        s, ref={m: _punched(k, rng, trailing) for m, k in s.ref.items()},
+        translators={key: _punched(k, rng, trailing) for key, k in s.translators.items()})
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n_langs=st.integers(2, 3),
        n_prompts=st.integers(1, 3), n_candidates=st.integers(1, 8),
@@ -46,13 +62,7 @@ def _punched(kernel, rng, trailing):
        samples=st.sampled_from([1, 2, 37, 4096]))
 def test_round_trip_target_matches_oracle(seed, n_langs, n_prompts, n_candidates, noise,
                                           trailing, samples):
-    s = generate(GeneratorConfig(n_langs=n_langs, n_prompts=n_prompts,
-                                 n_candidates=n_candidates, translator_mode="noisy",
-                                 noise=noise, seed=seed))
-    rng = np.random.default_rng(seed)
-    s = dataclasses.replace(
-        s, ref={m: _punched(k, rng, trailing) for m, k in s.ref.items()},
-        translators={key: _punched(k, rng, trailing) for key, k in s.translators.items()})
+    s = _punched_world(seed, n_langs, n_prompts, n_candidates, noise, trailing)
     mc = MonteCarloConfig(samples, seed=seed % 1000)
     for lang in s.lang_ids:
         for via in s.lang_ids:
@@ -64,6 +74,51 @@ def test_round_trip_target_matches_oracle(seed, n_langs, n_prompts, n_candidates
                 assert got.support == want.support
                 assert got.probs.tobytes() == want.probs.tobytes()
                 assert got.logp.tobytes() == want.logp.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n_langs=st.integers(2, 3),
+       n_prompts=st.integers(2, 6), n_candidates=st.integers(1, 8),
+       noise=st.sampled_from([0.05, 0.3, 0.9]), trailing=st.sampled_from([0.0, 0.5, 1.0]),
+       samples=st.sampled_from([1, 2, 37, 4096]))
+def test_route_targets_match_oracle(seed, n_langs, n_prompts, n_candidates, noise, trailing,
+                                    samples):
+    # every prompt of a route is sampled in one stacked pass
+    s = _punched_world(seed, n_langs, n_prompts, n_candidates, noise, trailing)
+    mc = MonteCarloConfig(samples, seed=seed % 1000)
+    targets = round_trip_targets(s, mc)
+    assert list(targets) == [(lang, via, p) for lang in s.lang_ids for via in s.lang_ids
+                             if via != lang for p in s.space(lang).prompts]
+    for (lang, via, prompt), got in targets.items():
+        want = oracle.round_trip_target(s, lang, via, prompt, mc)
+        assert got.support == want.support
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert got.logp.tobytes() == want.logp.tobytes()
+
+
+def test_drawn_key_without_a_row_is_named():
+    kernel = StochasticKernel(0, 1, {3: LogDist.uniform((7, 8)), 9: LogDist.uniform((7,))})
+    keys = np.array([3, 9, 5, 3, 4, 5])
+    with pytest.raises(StructuralError, match="kernel 0->1 has no row for ID 4$"):
+        _sample(kernel, keys, np.full(len(keys), 0.5))
+    assert _sample(kernel, np.array([9, 3, 3]), np.array([0.9, 0.2, 0.7])).tolist() == [7, 7, 8]
+
+
+def test_route_without_a_row_raises_as_the_oracle():
+    # language 1's reference has no row for a prompt that prompt 1 of
+    # language 0 translates to with positive mass
+    s = generate(GeneratorConfig(n_langs=2, n_prompts=3, n_candidates=3,
+                                 translator_mode="noisy", noise=0.3, seed=4))
+    lost = s.translator(0, 1).row(s.space(0).prompts[1]).argmax()
+    rows = {p: r for p, r in s.ref[1].rows.items() if p != lost}
+    s = dataclasses.replace(s, ref={**s.ref, 1: StochasticKernel(1, 1, rows)})
+    mc = MonteCarloConfig(64, seed=2)
+    with pytest.raises(StructuralError) as want:
+        for prompt in s.space(0).prompts:
+            oracle.round_trip_target(s, 0, 1, prompt, mc)
+    with pytest.raises(StructuralError, match=f"no row for ID {lost}$") as got:
+        round_trip_targets(s, mc)
+    assert str(got.value) == str(want.value)
 
 
 # cumsum of these ends at 0.9999999999999998, so a uniform draw can land

@@ -1,10 +1,11 @@
 """Properties of the installed numpy that the lockstep temperature search
 (``metrics._search`` with ``core.anneal_rows`` and
-``core.f_divergence_rows``) relies on to give the same bits as one-row
-arithmetic, and that the Monte-Carlo sampler (``objectives._sample``)
-relies on to pick what the counting sampler it replaced picked, and that
-the stacked fitters (``optim.fit_dco`` and ``optim.fit_pco_reinforce``)
-rely on to draw the same stream and give the bits of the per-row loops.
+``core.f_divergence_rows``) and the grouped reduction of
+``core.pushforward`` rely on to give the same bits as one-row arithmetic,
+and that the Monte-Carlo sampler (``objectives._sample``) relies on to pick
+what ``searchsorted`` on each row picked, and that the stacked fitters
+(``optim.fit_dco`` and ``optim.fit_pco_reinforce``) rely on to draw the
+same stream and give the bits of the per-row loops.
 
 If a numpy upgrade breaks one, this names the premise; otherwise the
 breakage would show only as a fingerprint or oracle mismatch.
@@ -22,9 +23,13 @@ def _rows(n, k, seed):
     return np.ascontiguousarray(-rng.exponential(3.0, size=(n, k)) * rng.random((n, 1)) * 50)
 
 
+# a round trip through 26 languages' worth of inputs reduces rows this long
+ROW_LENGTHS = range(1, 257)
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 61, 2500])
 def test_row_sums_equal_one_row_sums(n):
-    for k in range(1, 41):
+    for k in ROW_LENGTHS:
         a = _rows(n, k, seed=1000 * n + k)
         rows = np.sum(a, axis=1)
         assert rows.tobytes() == np.array([np.sum(r) for r in a]).tobytes(), (n, k)
@@ -40,7 +45,7 @@ def test_row_sums_equal_one_row_sums_at_rollout_widths(k):
 
 @pytest.mark.parametrize("n", [1, 2, 9, 61, 2500])
 def test_elementwise_exp_equals_one_row_exp(n):
-    for k in range(1, 41):
+    for k in ROW_LENGTHS:
         a = _rows(n, k, seed=1000 * n + k)
         assert np.exp(a).tobytes() == np.concatenate([np.exp(r) for r in a]).tobytes(), (n, k)
 
@@ -59,6 +64,39 @@ def test_searchsorted_left_counts_entries_below():
                         np.random.default_rng(0).random(1000)])
     assert np.array_equal(np.searchsorted(cum, u, side="left"),
                           np.sum(cum[None, :] < u[:, None], axis=1))
+
+
+def test_stable_argsort_keeps_equal_keys_in_input_order():
+    # pushforward's terms of one output must stay in ascending input order
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 15, 16, 17, 100, 5000):
+        keys = rng.integers(-3, 4, size=n) * 1000
+        order = np.argsort(keys, kind="stable")
+        want = sorted(range(n), key=lambda i: keys[i])  # Python's sort is stable
+        assert order.tolist() == want, n
+
+
+def test_padded_column_count_is_searchsorted_left():
+    # rows of unequal length as columns of one table padded with +inf,
+    # counted one table row at a time: ties with a cumulative value,
+    # zero-mass entries, which repeat one, and draws above the last value
+    rows = [[0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0], [1.0], [0.3, 0.0, 0.7],
+            [0.18604651162790695, 0.441860465116279, 0.3720930232558139, 0.0]]
+    cums = [np.cumsum(r) for r in rows]
+    table = np.full((max(map(len, rows)), len(rows)), np.inf)
+    for j, c in enumerate(cums):
+        table[: len(c), j] = c
+    us = [np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), [0.0],
+                          np.random.default_rng(j).random(500)]) for j, c in enumerate(cums)]
+    at = np.repeat(np.arange(len(rows)), [len(u) for u in us])
+    u = np.concatenate(us)
+    picked = np.zeros(len(u), dtype=int)
+    for col in table:
+        picked += col[at] < u
+    want = np.concatenate([np.searchsorted(c, x, side="left") for c, x in zip(cums, us)])
+    assert np.array_equal(picked, want)
+    assert cums[3][-1] < np.nextafter(cums[3][-1], 1.0) < 1.0  # a draw above the last value
+    assert picked[at == 3].max() == len(rows[3])
 
 
 def test_one_block_of_uniforms_is_the_stream_of_single_draws():

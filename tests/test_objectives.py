@@ -390,11 +390,13 @@ class TestTargetsBuiltOnce:
         s = generate(self.WORLDS[world])
         calls = []
 
-        def counting(scenario, lang, via, prompt, mc=None):
-            calls.append((lang, via, prompt))
-            return round_trip_target(scenario, lang, via, prompt, mc=mc)
+        def counting(scenario, lang, via, prompts, mc):
+            calls.extend((lang, via, p) for p in prompts)
+            return route_targets(scenario, lang, via, prompts, mc)
 
-        monkeypatch.setattr(objectives, "round_trip_target", counting)
+        # every target, one-prompt or a whole route, is built at this seam
+        route_targets = objectives._route_targets
+        monkeypatch.setattr(objectives, "_route_targets", counting)
         self.OPERATIONS[operation](s)
         distinct = {(lang, via, p) for lang in s.lang_ids for via in s.lang_ids
                     if via != lang for p in s.space(lang).prompts}
