@@ -165,15 +165,16 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
 
     def loss_of(zs: list[np.ndarray]) -> float:
         resid = [row - t for row, t in zip(zs, targets)]
-        per = [np.abs(r).sum(axis=1) if config.norm == "l1" else (r ** 2).sum(axis=1)
-               for r in resid]
+        with np.errstate(over="ignore"):  # an overflow is an infinite loss, named below
+            per = [np.abs(r).sum(axis=1) if config.norm == "l1" else (r ** 2).sum(axis=1)
+                   for r in resid]
         return _in_order(groups, per, lambda p: weights.get(p, 0.0))
 
     loss = loss_of(z)
     _, policy = _softmax(z)
     tv_opt = _max_tv(policy, opt)
     step = config.step_size
-    stalls = 0
+    stalls = overflows = 0
     trace: list[TraceRow] = []
     converged = False
     diagnostic = ""
@@ -209,10 +210,11 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
             policy = new_policy
             tv_opt = _max_tv(policy, opt)
             loss = new_loss
-            stalls = 0
+            stalls = overflows = 0
         else:
             step *= 0.5
             stalls += 1
+            overflows = 0 if math.isfinite(new_loss) else overflows + 1
             moved = None
 
         trace.append(TraceRow(it, loss, tv_opt, 0,
@@ -231,7 +233,8 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
             diagnostic = "step size exhausted"
             break
         if stalls >= _DIVERGENCE_PATIENCE:
-            diagnostic = f"loss failed to decrease for {stalls} consecutive proposals"
+            cause = "overflowed" if overflows == stalls else "failed to decrease"
+            diagnostic = f"loss {cause} for {stalls} consecutive proposals"
             break
 
     if not converged and not diagnostic:
