@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from fingerprint_pipeline import compute_fingerprints, environment  # noqa: E402
 

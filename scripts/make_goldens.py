@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from golden_pipeline import GOLDEN_FILES, run_benchmark_pipeline  # noqa: E402
 
