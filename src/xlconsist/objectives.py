@@ -144,27 +144,31 @@ def _reachable_support(tau_out, pi, tau_back, prompt) -> tuple[int, ...]:
     return tuple(sorted(support))
 
 
-def _sample(kernel: StochasticKernel, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one response per key from the kernel's row for
-    that key, all keys in one pass.  Column j of the ``+inf``-padded table
-    holds the cumulative sums of the j-th row, so counting the entries below
-    a draw, one table row at a time, is ``searchsorted(side="left")``.
-    Picks are clamped to the row's positive-mass entries, so every draw
-    lies in the reachable support."""
-    ids = np.array(sorted(kernel.rows))
-    at = np.minimum(np.searchsorted(ids, keys), len(ids) - 1)
-    if (ids[at] != keys).any():
-        kernel.row(int(keys[ids[at] != keys].min()))  # raises, naming the key
-    rows = [kernel.rows[i] for i in ids.tolist()]
+def _sample(kernel: StochasticKernel, ids: np.ndarray, keys: np.ndarray,
+            u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF draw of one response per key from the row for ``ids[key]``,
+    all keys at once: the sorted response IDs and one index into them per key.
+    Column j of the ``+inf``-padded table is the cumulative sum of row j, so
+    counting its entries below a draw is ``searchsorted(side="left")``.  Picks
+    are clamped to the row's positive-mass entries, as reachable supports are."""
+    row_ids = np.array(sorted(kernel.rows))
+    at = np.minimum(np.searchsorted(row_ids, ids), len(row_ids) - 1)
+    absent = row_ids[at] != ids
+    if absent[keys].any():
+        kernel.row(int(ids[keys[absent[keys]]].min()))  # raises, naming the key
+    rows = [kernel.rows[i] for i in row_ids.tolist()]
     cum = np.full((max(len(r.probs) for r in rows), len(rows)), math.inf)
-    support, bounds = np.zeros(cum.T.shape, dtype=int), np.empty((2, len(rows)), dtype=int)
+    support, bounds = np.empty(cum.T.shape, dtype=int), np.empty((2, len(rows)), dtype=int)
     for j, r in enumerate(rows):
-        cum[: len(r.probs), j], support[j, : len(r.probs)] = np.cumsum(r.probs), r.support
+        cum[: len(r.probs), j], support[j] = np.cumsum(r.probs), r.support[-1]
+        support[j, : len(r.probs)] = r.support
         bounds[:, j] = np.flatnonzero(r.probs)[[0, -1]]
+    at = at[keys]
     picked = np.zeros(len(keys), dtype=int)
     for col in cum:
         picked += col[at] < u
-    return support[at, np.clip(picked, *bounds[:, at])]
+    responses, index = np.unique(support, return_inverse=True)
+    return responses, index.reshape(support.shape)[at, np.clip(picked, *bounds[:, at])]
 
 
 def round_trip_target(
@@ -186,9 +190,8 @@ def round_trip_target(
 
 def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[int],
                    mc: MonteCarloConfig | None) -> list[LogDist]:
-    """:func:`round_trip_target` of each prompt, in order.  Each target would
-    draw the same ``(mc.samples, 3)`` block from a fresh ``default_rng(mc.seed)``,
-    so the route draws it once and each stage samples every prompt at once."""
+    """:func:`round_trip_target` of each prompt; each would draw the same block
+    from ``default_rng(mc.seed)``, so one is drawn and every stage runs once."""
     tau_out = scenario.translator(lang, via)
     tau_back = scenario.translator(via, lang)
     pi = scenario.ref[via]
@@ -197,11 +200,13 @@ def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[in
 
     supports = [_reachable_support(tau_out, pi, tau_back, prompt) for prompt in prompts]
     u = np.tile(np.random.default_rng(mc.seed).random((mc.samples, 3)), (len(prompts), 1))
-    xs = _sample(tau_out, np.repeat(prompts, mc.samples), u[:, 0])
-    zs = _sample(tau_back, _sample(pi, xs, u[:, 1]), u[:, 2]).reshape(len(prompts), -1)
-    return [LogDist.from_probs(support, np.bincount(np.searchsorted(support, z),
-                                                    minlength=len(support)) / mc.samples).floored()
-            for support, z in zip(supports, zs)]
+    of = np.repeat(np.arange(len(prompts)), mc.samples)
+    ids, keys = np.asarray(prompts), of
+    for kernel, draws in zip((tau_out, pi, tau_back), u.T):
+        ids, keys = _sample(kernel, ids, keys, draws)
+    counts = np.bincount(of * len(ids) + keys, minlength=len(prompts) * len(ids))
+    return [LogDist.from_probs(support, c[np.searchsorted(ids, support)] / mc.samples).floored()
+            for support, c in zip(supports, counts.reshape(len(prompts), -1))]
 
 
 def round_trip_targets(
@@ -212,13 +217,9 @@ def round_trip_targets(
     Each is computed once.  The Monte-Carlo targets of a route share one
     block of uniforms, the block a fresh ``default_rng(mc.seed)`` draws for
     each of them, so the map does not depend on the order they are built in."""
-    targets = {}
-    for lang in scenario.lang_ids:
-        prompts = scenario.space(lang).prompts
-        for via in _routes(scenario, lang):
-            routed = _route_targets(scenario, lang, via, prompts, mc)
-            targets.update(((lang, via, p), t) for p, t in zip(prompts, routed))
-    return targets
+    return {(lang, via, p): t for lang in scenario.lang_ids for via in _routes(scenario, lang)
+            for p, t in zip(scenario.space(lang).prompts,
+                            _route_targets(scenario, lang, via, scenario.space(lang).prompts, mc))}
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,14 @@ def test_route_targets_match_oracle(seed, n_langs, n_prompts, n_candidates, nois
 
 
 def test_drawn_key_without_a_row_is_named():
-    kernel = StochasticKernel(0, 1, {3: LogDist.uniform((7, 8)), 9: LogDist.uniform((7,))})
-    keys = np.array([3, 9, 5, 3, 4, 5])
+    kernel = StochasticKernel(0, 1, {3: LogDist.uniform((7, 8)), 9: LogDist.uniform((2, 7))})
+    ids = np.array([1, 3, 4, 5, 9])
     with pytest.raises(StructuralError, match="kernel 0->1 has no row for ID 4$"):
-        _sample(kernel, keys, np.full(len(keys), 0.5))
-    assert _sample(kernel, np.array([9, 3, 3]), np.array([0.9, 0.2, 0.7])).tolist() == [7, 7, 8]
+        _sample(kernel, ids, np.array([1, 4, 3, 1, 2, 3]), np.full(6, 0.5))
+    # keys that reach only IDs with rows draw; an ID without one is never asked for
+    responses, index = _sample(kernel, ids, np.array([4, 1, 1, 4]),
+                               np.array([0.9, 0.2, 0.7, 0.1]))
+    assert responses[index].tolist() == [7, 7, 8, 2]
 
 
 def test_route_without_a_row_raises_as_the_oracle():

@@ -94,6 +94,21 @@ def test_many_terms_per_output(terms):
     assert got == _outcome(oracle.pushforward, kernel, inner)
 
 
+def test_logs_are_math_log():
+    # np.log and math.log differ on a few in a thousand sums in [1, 2]; two
+    # comparable terms near 0 make such sums, and keep the difference
+    rng = np.random.default_rng(11)
+    outs = []
+    for _ in range(2000):
+        a, b = rng.uniform(0.3, 0.7, size=2)
+        inner = LogDist.from_probs((0, 1), (a, 1.0 - a))
+        kernel = StochasticKernel(0, 1, {0: LogDist.from_probs((5, 6), (b, 1.0 - b)),
+                                         1: LogDist.from_probs((5, 6), (1.0 - b, b))})
+        outs.append(_outcome(core.pushforward, kernel, inner)
+                    == _outcome(oracle.pushforward, kernel, inner))
+    assert all(outs), outs.index(False)
+
+
 def test_all_dead_result_raises_the_oracle_error():
     # a row object whose entries all carry zero mass; no LogDist is one
     dead = SimpleNamespace(support=(3, 4), logp=np.array([-math.inf, -math.inf]))
