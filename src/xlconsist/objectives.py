@@ -160,7 +160,8 @@ def _sample(kernel: StochasticKernel, ids: np.ndarray, keys: np.ndarray,
     cum = np.full((max(len(r.probs) for r in rows), len(rows)), math.inf)
     support, bounds = np.empty(cum.T.shape, dtype=int), np.empty((2, len(rows)), dtype=int)
     for j, r in enumerate(rows):
-        cum[: len(r.probs), j], support[j] = np.cumsum(r.probs), r.support[-1]
+        cum[: len(r.probs), j] = np.cumsum(r.probs)
+        support[j] = r.support[-1]  # pad with a real ID, so every response is real
         support[j, : len(r.probs)] = r.support
         bounds[:, j] = np.flatnonzero(r.probs)[[0, -1]]
     at = at[keys]
@@ -200,11 +201,11 @@ def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[in
 
     supports = [_reachable_support(tau_out, pi, tau_back, prompt) for prompt in prompts]
     u = np.tile(np.random.default_rng(mc.seed).random((mc.samples, 3)), (len(prompts), 1))
-    of = np.repeat(np.arange(len(prompts)), mc.samples)
-    ids, keys = np.asarray(prompts), of
+    prompt_of = np.repeat(np.arange(len(prompts)), mc.samples)
+    ids, keys = np.asarray(prompts), prompt_of
     for kernel, draws in zip((tau_out, pi, tau_back), u.T):
         ids, keys = _sample(kernel, ids, keys, draws)
-    counts = np.bincount(of * len(ids) + keys, minlength=len(prompts) * len(ids))
+    counts = np.bincount(prompt_of * len(ids) + keys, minlength=len(prompts) * len(ids))
     return [LogDist.from_probs(support, c[np.searchsorted(ids, support)] / mc.samples).floored()
             for support, c in zip(supports, counts.reshape(len(prompts), -1))]
 
