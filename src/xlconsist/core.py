@@ -23,6 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -96,7 +97,6 @@ class LogDist:
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "logp", logp)
-        object.__setattr__(self, "_index", {i: k for k, i in enumerate(sup)})
 
     @classmethod
     def from_probs(cls, support: Iterable[int], probs: Sequence[float]) -> "LogDist":
@@ -136,8 +136,9 @@ class LogDist:
         return hash((self.support, self.probs.tobytes()))
 
     def prob(self, response_id: int) -> float:
-        k = self._index.get(response_id)
-        return 0.0 if k is None else float(self.probs[k])
+        k = bisect_left(self.support, response_id)
+        hit = k < len(self.support) and self.support[k] == response_id
+        return float(self.probs[k]) if hit else 0.0
 
     def argmax(self) -> int:
         """Highest-probability ID; ties broken by ascending ID."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -249,16 +250,13 @@ def rankc_report(
 ) -> RankCReport:
     per_prompt: dict[tuple[int, int], tuple[float, ...]] = {}
     clc: dict[tuple[int, int], float] = {}
-    langs = scenario.lang_ids
-    for i, a in enumerate(langs):
-        for b in langs[i + 1:]:
-            vals = []
-            ia, ib = scenario.lang_index(a), scenario.lang_index(b)
-            for g, pt in enumerate(scenario.alignment.prompt_tuples):
-                cmap = {c[ia]: c[ib] for c in scenario.alignment.candidate_tuples[g]}
-                vals.append(rankc(policy[a].row(pt[ia]), policy[b].row(pt[ib]), cmap))
-            per_prompt[(a, b)] = tuple(vals)
-            clc[(a, b)] = float(np.mean(vals))
+    for a, b in combinations(scenario.lang_ids, 2):
+        vals = []
+        for g, pt in enumerate(scenario.alignment.prompt_tuples):
+            cmap = {c[a]: c[b] for c in scenario.alignment.candidate_tuples[g]}
+            vals.append(rankc(policy[a].row(pt[a]), policy[b].row(pt[b]), cmap))
+        per_prompt[(a, b)] = tuple(vals)
+        clc[(a, b)] = float(np.mean(vals))
     clc_all = float(np.mean(list(clc.values()))) if clc else 1.0
     return RankCReport(per_prompt, clc, clc_all)
 
@@ -443,9 +441,7 @@ def evaluate_policy(
         ent[lang] = entropy_stats(policy[lang], gold)
         chg[lang] = changed_fraction(scenario.ref[lang], policy[lang])
 
-    langs = scenario.lang_ids
-    pairs = [((a, b), (pt[scenario.lang_index(a)], pt[scenario.lang_index(b)]))
-             for i, a in enumerate(langs) for b in langs[i + 1:]
+    pairs = [((a, b), (pt[a], pt[b])) for a, b in combinations(scenario.lang_ids, 2)
              for pt in scenario.alignment.prompt_tuples] if include_consistency else []
     reports = check_pairs(policy, scenario.translators, pairs, spec, eps, DEFAULT_T_GRID)
 

@@ -131,45 +131,41 @@ def initial_logits(scenario: Scenario) -> LogitTable:
 # round-trip targets
 
 
-def _reachable_support(tau_out, pi, tau_back, prompt) -> tuple[int, ...]:
-    support: set[int] = set()
-    for xp, p_xp in zip(tau_out.row(prompt).support, tau_out.row(prompt).probs):
-        if p_xp == 0.0:
-            continue
-        for yp, p_yp in zip(pi.row(xp).support, pi.row(xp).probs):
-            if p_yp == 0.0:
-                continue
-            back = tau_back.row(yp)
-            support.update(i for i, q in zip(back.support, back.probs) if q > 0.0)
-    return tuple(sorted(support))
-
-
-def _sample(kernel: StochasticKernel, ids: np.ndarray, keys: np.ndarray,
-            u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sample(kernel: StochasticKernel, ids: np.ndarray, keys: np.ndarray, u: np.ndarray,
+            reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse-CDF draw of one response per key from the row for ``ids[key]``,
-    all keys at once: the sorted response IDs and one index into them per key.
-    Column j of the ``+inf``-padded table is the cumulative sum of row j, so
-    counting its entries below a draw is ``searchsorted(side="left")``.  Picks
-    are clamped to the row's positive-mass entries, as reachable supports are."""
+    all keys at once: the sorted response IDs, one index into them per key, and
+    the responses each prompt reaches.  ``reach[i, j]`` says prompt ``i`` reaches
+    ``ids[j]`` with positive mass; a reached ID without a row raises, naming the
+    smallest.  Column j of the ``+inf``-padded table is the cumulative sum of
+    row j, so counting its entries below a draw is ``searchsorted(side="left")``.
+    Picks are clamped to the row's positive-mass entries, so every draw is reached."""
     row_ids = np.array(sorted(kernel.rows))
     at = np.minimum(np.searchsorted(row_ids, ids), len(row_ids) - 1)
-    absent = row_ids[at] != ids
-    if absent[keys].any():
-        kernel.row(int(ids[keys[absent[keys]]].min()))  # raises, naming the key
+    absent = (row_ids[at] != ids) & reach.any(axis=0)
+    if absent.any():
+        kernel.row(int(ids[absent].min()))  # raises, naming the ID
     rows = [kernel.rows[i] for i in row_ids.tolist()]
     cum = np.full((max(len(r.probs) for r in rows), len(rows)), math.inf)
     support, bounds = np.empty(cum.T.shape, dtype=int), np.empty((2, len(rows)), dtype=int)
+    live = np.empty(cum.T.shape, dtype=bool)
     for j, r in enumerate(rows):
         cum[: len(r.probs), j] = np.cumsum(r.probs)
-        support[j] = r.support[-1]  # pad with a real ID, so every response is real
+        # pad with a real ID, so every response is real, and with its flag,
+        # so the pad marks that response as the entry it repeats does
+        support[j], live[j] = r.support[-1], r.probs[-1] > 0.0
         support[j, : len(r.probs)] = r.support
+        live[j, : len(r.probs)] = r.probs > 0.0
         bounds[:, j] = np.flatnonzero(r.probs)[[0, -1]]
-    at = at[keys]
+    responses, index = np.unique(support, return_inverse=True)
+    index = index.reshape(support.shape)
+    reached = np.zeros((len(rows), len(responses)), dtype=bool)
+    reached[np.arange(len(rows))[:, None], index] = live
+    drawn = at[keys]
     picked = np.zeros(len(keys), dtype=int)
     for col in cum:
-        picked += col[at] < u
-    responses, index = np.unique(support, return_inverse=True)
-    return responses, index.reshape(support.shape)[at, np.clip(picked, *bounds[:, at])]
+        picked += col[drawn] < u
+    return responses, index[drawn, np.clip(picked, *bounds[:, drawn])], reach @ reached[at]
 
 
 def round_trip_target(
@@ -199,15 +195,14 @@ def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[in
     if mc is None or (tau_out.is_deterministic() and tau_back.is_deterministic()):
         return [round_trip(tau_out, pi, tau_back, prompt) for prompt in prompts]
 
-    supports = [_reachable_support(tau_out, pi, tau_back, prompt) for prompt in prompts]
     u = np.tile(np.random.default_rng(mc.seed).random((mc.samples, 3)), (len(prompts), 1))
     prompt_of = np.repeat(np.arange(len(prompts)), mc.samples)
-    ids, keys = np.asarray(prompts), prompt_of
+    ids, keys, reach = np.asarray(prompts), prompt_of, np.eye(len(prompts), dtype=bool)
     for kernel, draws in zip((tau_out, pi, tau_back), u.T):
-        ids, keys = _sample(kernel, ids, keys, draws)
+        ids, keys, reach = _sample(kernel, ids, keys, draws, reach)
     counts = np.bincount(prompt_of * len(ids) + keys, minlength=len(prompts) * len(ids))
-    return [LogDist.from_probs(support, c[np.searchsorted(ids, support)] / mc.samples).floored()
-            for support, c in zip(supports, counts.reshape(len(prompts), -1))]
+    return [LogDist.from_probs(ids[r], c[r] / mc.samples).floored()
+            for r, c in zip(reach, counts.reshape(len(prompts), -1))]
 
 
 def round_trip_targets(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -192,19 +192,17 @@ def check_multi_language_consistency(s: Scenario, optimum=None, tol: float = 1e-
     if cocycle_violations(s):
         return CheckResult(cid, "skipped", "translators do not satisfy the cocycle identity")
     optimum = n_language_optimum(s) if optimum is None else optimum
-    langs, groups = s.lang_ids, s.alignment.prompt_tuples
-    u = dict(zip(langs, s.strengths.u))
-    pairs = [((m, n), (pt[s.lang_index(m)], pt[s.lang_index(n)]))
-             for i, m in enumerate(langs) for n in langs[i + 1:] for pt in groups]
+    groups, u = s.alignment.prompt_tuples, s.strengths.u
+    pairs = [((m, n), (pt[m], pt[n])) for m, n in combinations(s.lang_ids, 2) for pt in groups]
     found = {}
     for ((m, n), (x_m, x_n)), rep in zip(pairs, check_pairs(
             optimum.policy, s.translators, pairs, DivergenceSpec("forward-kl"), tol,
             DEFAULT_T_GRID, fixed=lambda m, n: u[m], fixed_direct=lambda m, n: u[n])):
         found[m, n, x_m], found[n, m, x_n] = rep.divergence_1, rep.divergence_2
     worst = 0.0
-    for m, n in permutations(langs, 2):
+    for m, n in permutations(s.lang_ids, 2):
         for pt in groups:
-            x_m = pt[s.lang_index(m)]
+            x_m = pt[m]
             d = found[m, n, x_m]
             worst = max(worst, d)
             if d > tol:

@@ -5,7 +5,9 @@ and candidate ID spaces, an alignment identifying translation-equivalent
 prompts and candidates, a reference model per language, translator kernels
 per ordered language pair, prompt priors, and the strength configuration.
 
-IDs are globally unique integers.  All supports are kept sorted ascending;
+A language's ID is its position ``m`` in ``spaces``, and the one coordinate
+of the alignment columns, strength vectors and kernel maps.  Other IDs are
+globally unique integers.  All supports are kept sorted ascending;
 correspondence between languages lives exclusively in the alignment
 tuples, which the generator shuffles so that nothing downstream can get
 away with assuming index-aligned orderings.
@@ -196,7 +198,8 @@ class StrengthConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete synthetic world; immutable after construction."""
+    """A complete synthetic world; immutable after construction.  Language
+    ``m`` is ``spaces[m]``, whose ID must be ``m``, for ``m`` in ``0..N-1``."""
 
     spaces: tuple[LanguageSpace, ...]
     alignment: Alignment
@@ -208,6 +211,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))
+        ids = tuple(sp.lang_id for sp in self.spaces)
+        if ids != tuple(range(len(ids))):
+            raise StructuralError(f"language IDs must be 0..N-1 in order, got {ids}")
         object.__setattr__(self, "ref", dict(self.ref))
         object.__setattr__(
             self, "translators", {(int(a), int(b)): k for (a, b), k in self.translators.items()}
@@ -219,23 +225,19 @@ class Scenario:
 
     @property
     def lang_ids(self) -> tuple[int, ...]:
-        return tuple(s.lang_id for s in self.spaces)
+        return tuple(range(len(self.spaces)))
 
     @property
     def n_langs(self) -> int:
         return len(self.spaces)
 
-    def space(self, lang_id: int) -> LanguageSpace:
-        for s in self.spaces:
-            if s.lang_id == lang_id:
-                return s
-        raise StructuralError(f"no language with ID {lang_id}")
+    def _lang(self, lang_id: int) -> int:
+        if not 0 <= lang_id < len(self.spaces):  # a negative index would wrap around
+            raise StructuralError(f"no language with ID {lang_id}")
+        return lang_id
 
-    def lang_index(self, lang_id: int) -> int:
-        for i, s in enumerate(self.spaces):
-            if s.lang_id == lang_id:
-                return i
-        raise StructuralError(f"no language with ID {lang_id}")
+    def space(self, lang_id: int) -> LanguageSpace:
+        return self.spaces[self._lang(lang_id)]
 
     def translator(self, from_lang: int, to_lang: int) -> StochasticKernel:
         try:
@@ -244,17 +246,15 @@ class Scenario:
             raise StructuralError(f"no translator {from_lang}->{to_lang}") from None
 
     def beta(self, from_lang: int, to_lang: int) -> float:
-        return self.strengths.beta(self.lang_index(from_lang), self.lang_index(to_lang))
+        return self.strengths.beta(self._lang(from_lang), self._lang(to_lang))
 
     def gold_map(self, lang_id: int) -> dict[int, int]:
         """Evaluation convention: the gold answer for each prompt is the
         first candidate of its aligned tuple, which is consistent across
         languages under the candidate maps."""
-        m = self.lang_index(lang_id)
-        gold = {}
-        for g, pt in enumerate(self.alignment.prompt_tuples):
-            gold[pt[m]] = self.alignment.candidate_tuples[g][0][m]
-        return gold
+        m = self._lang(lang_id)
+        a = self.alignment
+        return {pt[m]: grp[0][m] for pt, grp in zip(a.prompt_tuples, a.candidate_tuples)}
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +636,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             prompts.append(pid)
             candidates[pid] = _need(p, "candidates", f"prompt {pid}", _ids)
         by_id[lang] = LanguageSpace(lang, tuple(prompts), candidates)
-    spaces = list(by_id.values())
-    index_of = {lang: i for i, lang in enumerate(by_id)}
+    n = len(by_id)
+    if list(by_id) != list(range(n)):
+        raise ScenarioFormatError(f"languages: IDs must be 0..{n - 1} in the order listed, "
+                                  f"got {list(by_id)}")
+    spaces = tuple(by_id.values())
+    # each candidate's prompt, per language; the first prompt listed wins
+    owner = [{c: p for p, cs in reversed(sp.candidates.items()) for c in cs} for sp in spaces]
 
     align = _need(doc, "alignment", "document")
-    n = len(spaces)
     prompt_tuples = tuple(_ids(t, "alignment prompt_pairs", n)
                           for t in _need(align, "prompt_pairs", "alignment", _list))
     candidate_tuples = tuple(
@@ -655,12 +659,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     ref = {}
     for entry in _need(doc, "ref_kernels", "document", _list):
         m = _new(_need(entry, "lang", "ref_kernels", _id), ref, "ref_kernels language")
-        if m not in by_id:
+        if m not in range(n):
             raise ScenarioFormatError(f"ref_kernels: unknown language {m}")
         rows = {}
         for r in _need(entry, "rows", f"ref_kernels[{m}]", _list):
             p = _new(_need(r, "prompt", "ref row", _id), rows, f"ref_kernels[{m}] prompt")
-            sup = by_id[m].candidates.get(p)
+            sup = spaces[m].candidates.get(p)
             if sup is None:
                 raise ScenarioFormatError(f"ref_kernels[{m}]: unknown prompt {p}")
             where = f"ref_kernels[{m}] prompt {p}"
@@ -671,21 +675,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for entry in _need(doc, "translators", "document", _list):
         a = _need(entry, "from", "translators", _id)
         b = _need(entry, "to", "translators", _id)
-        if a not in by_id or b not in by_id:
+        if a not in range(n) or b not in range(n):
             raise ScenarioFormatError(f"translators: unknown pair ({a},{b})")
         _new((a, b), translators, "translators pair")
-        pmap = alignment.prompt_map(index_of[a], index_of[b])
+        pmap = alignment.prompt_map(a, b)
         rows = {}
         for r in _need(entry, "rows", f"translator ({a},{b})", _list):
             i = _new(_need(r, "id", "translator row", _id), rows, f"translator ({a},{b}) row")
             where = f"translator ({a},{b}) row {i}"
-            if i in by_id[a].candidates:  # prompt-level row
-                sup: Sequence[int] = by_id[b].prompts
+            if i in spaces[a].candidates:  # prompt-level row
+                sup: Sequence[int] = spaces[b].prompts
             else:
-                p_a = next((p for p, cs in by_id[a].candidates.items() if i in cs), None)
+                p_a = owner[a].get(i)
                 if p_a is None:
                     raise ScenarioFormatError(f"{where}: ID not in source language")
-                sup = by_id[b].candidates.get(pmap.get(p_a))
+                sup = spaces[b].candidates.get(pmap.get(p_a))
                 if sup is None:
                     raise ScenarioFormatError(f"{where}: alignment prompt_pairs aligns prompt "
                                               f"{p_a} with no prompt of language {b}")
@@ -695,9 +699,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     priors = {}
     for entry in _need(doc, "priors", "document", _list):
         m = _new(_need(entry, "lang", "priors", _id), priors, "priors language")
-        if m not in by_id:
+        if m not in range(n):
             raise ScenarioFormatError(f"priors: unknown language {m}")
-        priors[m] = _row_dist(by_id[m].prompts, _need(entry, "probs", f"priors[{m}]", _list),
+        priors[m] = _row_dist(spaces[m].prompts, _need(entry, "probs", f"priors[{m}]", _list),
                               f"priors[{m}]")
 
     st = _need(doc, "strengths", "document")
@@ -707,7 +711,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except (TypeError, ValueError) as err:
         raise ScenarioFormatError(f"strengths: {err}") from err
 
-    return Scenario(tuple(spaces), alignment, ref, translators, priors, strengths, seed)
+    return Scenario(spaces, alignment, ref, translators, priors, strengths, seed)
 
 
 def load(path: str | Path) -> Scenario:

@@ -4,8 +4,10 @@
 ``_sample_rows``, the first-stage sampler and the count loop are the former
 body of ``objectives.round_trip_target``, unchanged: a padded matrix of
 cumulative rows searched by counting ``cum < u``, and one dictionary
-lookup per sample.  ``tests/test_mc_sampler.py`` asserts that
-``objectives.round_trip_target`` gives the same bits.
+lookup per sample.  ``_reachable_support`` is the former ``objectives``
+helper, unchanged: a walk over the positive-mass entries of each stage.
+``tests/test_mc_sampler.py`` asserts that ``objectives.round_trip_target``
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -13,8 +15,21 @@ from __future__ import annotations
 import numpy as np
 
 from xlconsist.core import LogDist, round_trip
-from xlconsist.objectives import MonteCarloConfig, _reachable_support
+from xlconsist.objectives import MonteCarloConfig
 from xlconsist.scenario import Scenario
+
+
+def _reachable_support(tau_out, pi, tau_back, prompt) -> tuple[int, ...]:
+    support: set[int] = set()
+    for xp, p_xp in zip(tau_out.row(prompt).support, tau_out.row(prompt).probs):
+        if p_xp == 0.0:
+            continue
+        for yp, p_yp in zip(pi.row(xp).support, pi.row(xp).probs):
+            if p_yp == 0.0:
+                continue
+            back = tau_back.row(yp)
+            support.update(i for i, q in zip(back.support, back.probs) if q > 0.0)
+    return tuple(sorted(support))
 
 
 def _sample_rows(rows: dict[int, LogDist], keys: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -33,10 +33,10 @@ def check_multi_language_consistency(s: Scenario, optimum=None, tol: float = 1e-
         for n in s.lang_ids:
             if m == n:
                 continue
-            u_m = s.strengths.u[s.lang_index(m)]
-            u_n = s.strengths.u[s.lang_index(n)]
+            u_m = s.strengths.u[m]
+            u_n = s.strengths.u[n]
             for pt in s.alignment.prompt_tuples:
-                x_m = pt[s.lang_index(m)]
+                x_m = pt[m]
                 direct = anneal(optimum.row(m, x_m), u_n)
                 trip = round_trip(s.translator(m, n), optimum.policy[n],
                                   s.translator(n, m), x_m)

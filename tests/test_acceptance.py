@@ -228,10 +228,10 @@ def test_c06_three_language_guarantees():
             for n in s3.lang_ids:
                 if m == n:
                     continue
-                u_m = s3.strengths.u[s3.lang_index(m)]
-                u_n = s3.strengths.u[s3.lang_index(n)]
+                u_m = s3.strengths.u[m]
+                u_n = s3.strengths.u[n]
                 for pt in s3.alignment.prompt_tuples:
-                    x_m = pt[s3.lang_index(m)]
+                    x_m = pt[m]
                     direct = anneal(opt.row(m, x_m), u_n)
                     trip = anneal(round_trip(s3.translator(m, n), opt.policy[n],
                                              s3.translator(n, m), x_m), u_m)

@@ -164,6 +164,34 @@ class TestEval:
                        "--out", tmp_path / "m.json") == 1, field
             assert field in capsys.readouterr().err, field
 
+    def test_non_positional_languages_exit_one(self, tmp_path, capsys):
+        # every kernel and prior is present: the error names the language
+        # numbering, not the kernels it seems to lack
+        world = tmp_path / "world.json"
+        assert run("gen", "--langs", 2, "--prompts", 2, "--cands", 2,
+                   "--translator", "bijective", "--seed", 3, "--out", world) == 0
+
+        def renumbered(doc):
+            for entry in doc["languages"]:
+                entry["id"] += 1
+            for entry in doc["ref_kernels"] + doc["priors"]:
+                entry["lang"] += 1
+            for entry in doc["translators"]:
+                entry["from"] += 1
+                entry["to"] += 1
+
+        bad = tmp_path / "bad.json"
+        for edit in (renumbered, lambda doc: doc["languages"].reverse()):
+            doc = json.loads(world.read_text())
+            edit(doc)
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run("eval", "--scenario", bad, "--policy", "ref",
+                       "--out", tmp_path / "m.json") == 1
+            err = capsys.readouterr().err
+            assert "languages: IDs must be 0..1 in the order listed" in err
+            assert "kernel-present" not in err and "row-per" not in err
+
     def test_invalid_scenario_exits_one(self, bench, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -100,11 +100,16 @@ def test_drawn_key_without_a_row_is_named():
     kernel = StochasticKernel(0, 1, {3: LogDist.uniform((7, 8)), 9: LogDist.uniform((2, 7))})
     ids = np.array([1, 3, 4, 5, 9])
     with pytest.raises(StructuralError, match="kernel 0->1 has no row for ID 4$"):
-        _sample(kernel, ids, np.array([1, 4, 3, 1, 2, 3]), np.full(6, 0.5))
+        _sample(kernel, ids, np.array([1, 4, 3, 1, 2, 3]), np.full(6, 0.5),
+                np.array([[False, True, True, True, True]]))
     # keys that reach only IDs with rows draw; an ID without one is never asked for
-    responses, index = _sample(kernel, ids, np.array([4, 1, 1, 4]),
-                               np.array([0.9, 0.2, 0.7, 0.1]))
+    responses, index, reach = _sample(kernel, ids, np.array([4, 1, 1, 4]),
+                                      np.array([0.9, 0.2, 0.7, 0.1]),
+                                      np.array([[False, True, False, False, True],
+                                                [False, True, False, False, False]]))
     assert responses[index].tolist() == [7, 7, 8, 2]
+    assert responses.tolist() == [2, 7, 8]
+    assert reach.tolist() == [[True, True, True], [False, True, True]]
 
 
 def test_route_without_a_row_raises_as_the_oracle():

@@ -39,7 +39,7 @@ def kernel(rows, lang=0):
 def relabeled_policy(scenario, lang_from=0, lang_to=1):
     """Copy one language's reference onto the other via the alignment,
     producing an exactly self-consistent pair."""
-    ia, ib = scenario.lang_index(lang_from), scenario.lang_index(lang_to)
+    ia, ib = lang_from, lang_to
     rows = {}
     for g, pt in enumerate(scenario.alignment.prompt_tuples):
         cmap = {c[ia]: c[ib] for c in scenario.alignment.candidate_tuples[g]}

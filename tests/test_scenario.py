@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from xlconsist.core import LogDist, StochasticKernel, is_invertible_pair, round_trip
+from xlconsist.core import (
+    LogDist,
+    StochasticKernel,
+    StructuralError,
+    is_invertible_pair,
+    round_trip,
+)
 from xlconsist.scenario import (
     Alignment,
     GeneratorConfig,
@@ -189,6 +195,26 @@ class TestValidate:
             ("translator (0,1)", "row-per-source-id", f"ID {prompt}")]
 
 
+class TestLanguagePositions:
+    """A language's ID is its position in ``spaces``."""
+
+    @pytest.mark.parametrize("ids", [(1, 0), (0, 2)])
+    def test_non_positional_ids_refused(self, ids):
+        s = generate(BIJ)
+        spaces = tuple(LanguageSpace(i, sp.prompts, sp.candidates)
+                       for i, sp in zip(ids, s.spaces))
+        with pytest.raises(StructuralError, match="0..N-1"):
+            dataclasses.replace(s, spaces=spaces)
+
+    @pytest.mark.parametrize("lang", [-1, 2])
+    def test_lookup_outside_the_languages_refused(self, lang):
+        # a negative position would wrap around to the last language
+        s = generate(BIJ)
+        for lookup in (s.space, s.gold_map, lambda m: s.beta(m, 0), lambda m: s.beta(0, m)):
+            with pytest.raises(StructuralError, match=f"no language with ID {lang}$"):
+                lookup(lang)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         for cfg in (BIJ, NOISY,
@@ -274,4 +300,30 @@ class TestSerialization:
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioFormatError, match=field):
+            load(path)
+
+    def test_translator_row_follows_the_first_prompt_listing_its_id(self, tmp_path):
+        doc = scenario_to_dict(generate(BIJ))
+        first, second = doc["languages"][0]["prompts"][:2]
+        shared = first["candidates"][0]
+        # listed under a second prompt too: the first prompt still owns it
+        second["candidates"].append(shared)
+        doc["ref_kernels"][0]["rows"][1]["probs"] = [0.2] * 5
+        doc["translators"] = [t for t in doc["translators"] if t["from"] == 0]
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(doc))
+        s = load(path)
+        aligned = s.alignment.prompt_map(0, 1)[first["id"]]
+        assert s.translator(0, 1).row(shared).support == s.space(1).candidates[aligned]
+        # an ID of no prompt of the source language has no row to load
+        doc["translators"][0]["rows"][-1]["id"] = 999
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=r"row 999: ID not in source language$"):
+            load(path)
+        # nor does a candidate whose prompt is aligned with no prompt of the target
+        doc = scenario_to_dict(generate(BIJ))
+        doc["alignment"]["prompt_pairs"][0][1] = 999
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match="aligns prompt 0 with no prompt of "
+                                                      "language 1$"):
             load(path)
