@@ -15,9 +15,12 @@ Conventions used throughout the package:
 - Infinite divergences are detected explicitly and reported as
   ``INFINITE_DIVERGENCE`` (``math.inf``); they never arise from floating
   overflow.
-- Marginals are exact triple sums in a fixed order: ``pushforward`` keeps
-  each output's terms in ascending input ID and reduces the outputs with
-  equal term counts as one array, with the bits of one ``logsumexp`` each.
+- Marginals are exact triple sums in a fixed order.  ``push_rows`` takes a
+  ``RowStack`` (rows laid end to end) through a kernel in one pass, and
+  each row gets the bits of one ``logsumexp`` per output over its terms in
+  ascending input ID and of one ``from_logp``.  ``round_trips`` chains it
+  over a route for every prompt at once; ``pushforward`` and ``round_trip``
+  are their one-row cases.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -256,9 +259,10 @@ class StochasticKernel:
         try:
             return self.rows[prompt_id]
         except KeyError:
-            raise StructuralError(
-                f"kernel {self.domain}->{self.codomain} has no row for ID {prompt_id}"
-            ) from None
+            raise StructuralError(self.no_row(prompt_id)) from None
+
+    def no_row(self, prompt_id: int) -> str:
+        return f"kernel {self.domain}->{self.codomain} has no row for ID {prompt_id}"
 
     def is_deterministic(self) -> bool:
         """True iff every row is an exact point mass."""
@@ -268,33 +272,108 @@ class StochasticKernel:
         )
 
 
+class RowStack(NamedTuple):
+    """Distributions laid end to end: entry k is ID ``ids[k]`` of row ``row[k]``,
+    with mass ``probs[k]`` and log-mass ``logp[k]``, in ascending (row, ID) order."""
+
+    row: np.ndarray
+    ids: np.ndarray
+    probs: np.ndarray
+    logp: np.ndarray
+
+    @classmethod
+    def of(cls, dists: Sequence[LogDist], rows: Sequence[int] | None = None) -> "RowStack":
+        """The distributions as rows ``rows``, by default 0, 1, ..."""
+        lens = [len(d.support) for d in dists]
+        return cls(np.repeat(np.arange(len(dists)) if rows is None else rows, lens).astype(np.int64),
+                   np.fromiter(chain.from_iterable(d.support for d in dists), np.int64, sum(lens)),
+                   _join([d.probs for d in dists]), _join([d.logp for d in dists]))
+
+    def dists(self) -> list[LogDist]:
+        """Each row as a :class:`LogDist`; the rows must be 0, 1, ... without gaps."""
+        cuts = np.flatnonzero(np.diff(self.row)) + 1
+        return [LogDist(tuple(i.tolist()), p, lp)
+                for i, p, lp in zip(*(np.split(a, cuts) for a in self[1:]))]
+
+
+def _join(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.empty(0), *arrays])
+
+
+def _logsumexp_runs(values: np.ndarray, *keys: np.ndarray):
+    """Start, length and :func:`logsumexp` of each run of entries equal in
+    every key.  The runs of one length are reduced as one (n, k) array, so
+    sums of eight or more terms stay sums along contiguous rows."""
+    step = np.zeros(len(values) - 1, dtype=bool)
+    for key in keys:
+        step |= key[1:] != key[:-1]
+    first = np.flatnonzero(np.concatenate(([True], step)))
+    counts = np.diff(np.append(first, len(values)))
+    out = np.empty(len(first))
+    for k in set(counts.tolist()):
+        at = counts == k
+        out[at] = logsumexp_rows(values[first[at][:, None] + np.arange(k)])
+    return first, counts, out
+
+
+def _rows_for(kernel: StochasticKernel, ids: Sequence[int], rows: Iterable[int],
+              failed: dict[int, str]) -> list:
+    """The kernel's row for each ID, or ``None``, which fails that ID's row
+    unless an earlier ID already did."""
+    got = [kernel.rows.get(i) for i in ids]
+    for i, r, d in zip(ids, rows, got):
+        if d is None:
+            failed.setdefault(r, kernel.no_row(i))
+    return got
+
+
+def push_rows(outer: StochasticKernel, inner: RowStack, failed: dict[int, str]) -> RowStack:
+    """:func:`pushforward` of every row of ``inner`` in one pass, with its bits.
+
+    A row's first failure -- its lowest positive-mass input ID without a
+    kernel row, else an empty result -- goes into ``failed`` under the row's
+    number, and the row is left out.  The finite terms of the live inputs'
+    rows, tagged with their row and taken in ascending input ID, are stably
+    sorted by (row, output ID); each row is renormalized once."""
+    live = inner.logp != -math.inf
+    rows = inner.row[live]
+    got = _rows_for(outer, inner.ids[live].tolist(), rows.tolist(), failed)
+    keep = [k for k, r in enumerate(rows.tolist()) if r not in failed]
+    lens = [len(got[k].logp) for k in keep]
+    lz = _join([got[k].logp for k in keep])
+    ids = np.fromiter(chain.from_iterable(got[k].support for k in keep), np.int64, len(lz))
+    terms = lz + np.repeat(inner.logp[live][keep], lens)
+    tag = np.repeat(rows[keep], lens)
+    order = np.lexsort((ids, tag))
+    order = order[lz[order] != -math.inf]
+    tag, ids, terms = tag[order], ids[order], terms[order]
+    for r in set(inner.row.tolist()) - set(tag.tolist()) - failed.keys():
+        failed[r] = "pushforward produced an empty distribution"
+    if not len(terms):
+        return RowStack(tag, ids, terms, terms)
+    first, _, logp = _logsumexp_runs(terms, tag, ids)
+    tag, ids = tag[first], ids[first]
+    _, counts, z = _logsumexp_runs(logp, tag)
+    logp = logp - np.repeat(z, counts)
+    return RowStack(tag, ids, np.exp(logp), logp)
+
+
+def raise_first(failed: Mapping[int, str]) -> None:
+    """Raise the failure of the lowest-numbered row, if any row failed."""
+    if failed:
+        raise StructuralError(failed[min(failed)])
+
+
 def pushforward(outer: StochasticKernel, inner_dist: LogDist) -> LogDist:
     """Marginalize a distribution through a kernel, in log space.
 
     Zero-mass entries of the inner distribution need no kernel row; a
     positive-mass entry without a row is a structural error naming the ID.
-    The finite terms of the live inputs' rows, taken in ascending input
-    ID, are stably sorted by output ID; outputs with equal term counts are
-    then reduced as one contiguous (n, k) array, which gives each output
-    the bits of a one-row :func:`logsumexp` over its terms in input order.
     """
-    rows = [(outer.row(y), ly) for y, ly in zip(inner_dist.support, inner_dist.logp.tolist())
-            if ly != -math.inf]
-    lz = np.concatenate([r.logp for r, _ in rows]) if rows else np.empty(0)
-    ids = np.fromiter(chain.from_iterable(r.support for r, _ in rows), np.int64, len(lz))
-    order = np.argsort(ids, kind="stable")
-    order = order[lz[order] != -math.inf]
-    if not len(order):
-        raise StructuralError("pushforward produced an empty distribution")
-    ids = ids[order]
-    terms = lz[order] + np.repeat([ly for _, ly in rows], [len(r.logp) for r, _ in rows])[order]
-    edges = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1], [True])))
-    first, counts = edges[:-1], edges[1:] - edges[:-1]
-    logp = np.empty(len(first))
-    for k in set(counts.tolist()):
-        at = counts == k
-        logp[at] = logsumexp_rows(terms[first[at][:, None] + np.arange(k)])
-    return LogDist.from_logp(ids[first].tolist(), logp)
+    failed: dict[int, str] = {}
+    out = push_rows(outer, RowStack.of([inner_dist]), failed)
+    raise_first(failed)
+    return out.dists()[0]
 
 
 def compose(outer: StochasticKernel, inner: StochasticKernel) -> StochasticKernel:
@@ -307,17 +386,11 @@ def compose(outer: StochasticKernel, inner: StochasticKernel) -> StochasticKerne
     return StochasticKernel(domain=inner.domain, codomain=outer.codomain, rows=rows)
 
 
-def round_trip(
-    tau_out: StochasticKernel,
-    pi: StochasticKernel,
-    tau_back: StochasticKernel,
-    prompt: int,
-) -> LogDist:
-    """Translate a prompt out, respond there, translate the response back.
-
-    Marginalizes over every intermediate (prompt, response) pair, so the
-    result is the exact triple sum.
-    """
+def round_trips(tau_out: StochasticKernel, pi: StochasticKernel, tau_back: StochasticKernel,
+                prompts: Sequence[int]) -> tuple[RowStack, dict[int, str]]:
+    """:func:`round_trip` of every prompt, one pass per stage: the stack of
+    the trips, row i for ``prompts[i]``, and the error ``round_trip`` raises
+    for each prompt whose trip fails, keyed by its position."""
     if tau_out.codomain != pi.domain:
         raise StructuralError(
             f"translator codomain {tau_out.codomain} != model domain {pi.domain}"
@@ -326,9 +399,25 @@ def round_trip(
         raise StructuralError(
             f"model codomain {pi.codomain} != back-translator domain {tau_back.domain}"
         )
-    translated = tau_out.row(prompt)
-    responded = pushforward(pi, translated)
-    return pushforward(tau_back, responded)
+    failed: dict[int, str] = {}
+    got = _rows_for(tau_out, prompts, range(len(prompts)), failed)
+    found = [k for k, d in enumerate(got) if d is not None]
+    stack = RowStack.of([got[k] for k in found], found)
+    for kernel in (pi, tau_back):
+        stack = push_rows(kernel, stack, failed)
+    return stack, failed
+
+
+def round_trip(tau_out: StochasticKernel, pi: StochasticKernel, tau_back: StochasticKernel,
+               prompt: int) -> LogDist:
+    """Translate a prompt out, respond there, translate the response back.
+
+    Marginalizes over every intermediate (prompt, response) pair, so the
+    result is the exact triple sum.
+    """
+    trips, failed = round_trips(tau_out, pi, tau_back, [prompt])
+    raise_first(failed)
+    return trips.dists()[0]
 
 
 _GENERATORS = {
@@ -433,14 +522,14 @@ def invertibility_report(
         )
     worst = 0.0
     for first, second in ((nu, mu), (mu, nu)):
-        for x, row in first.rows.items():
-            try:
-                out = pushforward(second, row)
-            except StructuralError as err:
-                return InvertibilityReport(False, math.inf, str(err))
-            tv = 1.0 - out.prob(x)
-            if tv > worst:
-                worst = tv
+        failed: dict[int, str] = {}
+        out = push_rows(second, RowStack.of(list(first.rows.values())), failed)
+        if failed:
+            return InvertibilityReport(False, math.inf, failed[min(failed)])
+        home = np.fromiter(first.rows, np.int64, len(first.rows))[out.row] == out.ids
+        stay = np.zeros(len(first.rows))
+        stay[out.row[home]] = out.probs[home]
+        worst = float(np.max(1.0 - stay, initial=worst))
     return InvertibilityReport(worst <= tol, worst)
 
 

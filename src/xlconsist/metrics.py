@@ -5,10 +5,12 @@ its round trip through another language, re-tempered by the best
 temperature found: an existential over temperatures becomes a 1-D
 minimization over a log-spaced grid refined by golden-section search.
 Both directions of a prompt pair must pass for the pair to count as
-consistent.  One search serves every direction of an evaluation, in
-lockstep on stacked arrays; each direction takes the steps it would take
-alone, so it gets the same bits.  A fixed-temperature mode bypasses the
-search so closed-form predictions can be tested at their exact exponents.
+consistent.  The round trips of each ordered language pair come from one
+route-level pass (``core.round_trips``) as a stack of arrays, and one
+search serves every direction of an evaluation, in lockstep on those
+arrays; each direction takes the steps it would take alone, so it gets the
+same bits.  A fixed-temperature mode bypasses the search so closed-form
+predictions can be tested at their exact exponents.
 
 RankC compares candidate *rankings* across two languages: top-j overlap
 weighted by exponentially decaying weights, so agreement among the most
@@ -27,14 +29,15 @@ import numpy as np
 from xlconsist.core import (
     DivergenceSpec,
     LogDist,
+    RowStack,
     StochasticKernel,
     StructuralError,
     anneal,
     anneal_rows,
-    embed,
     entropy,
     f_divergence_rows,
-    round_trip,
+    raise_first,
+    round_trips,
 )
 from xlconsist.scenario import Scenario
 
@@ -100,34 +103,47 @@ def _golden_section(grid: np.ndarray, fixed_t: float | None):
     return best_val, best_t
 
 
-def _search(directions, spec, t_grid, fixed_ts=None) -> list[tuple[float, float, bool]]:
-    """``(divergence, temperature, support extended)`` of each ``(direct,
-    trip)`` direction: the divergence of the direct row from the annealed
-    trip, minimized over temperature."""
-    grid = np.asarray(t_grid, dtype=float)
-    fixed_ts = fixed_ts or [None] * len(directions)
-    groups: dict[tuple[int, int], list] = {}
-    for i, (direct, trip) in enumerate(directions):
-        if direct.support != trip.support:
-            universe = sorted(set(direct.support) | set(trip.support))
-            direct, trip = embed(direct, universe), embed(trip, universe)
-        key = (len(direct.support), i // _LOCKSTEP_DIRECTIONS)
-        groups.setdefault(key, []).append((i, direct, trip))
-    found: list = [None] * len(directions)
-    for group in groups.values():
-        searches = [_golden_section(grid, fixed_ts[i]) for i, _, _ in group]
-        for (i, _, _), result in zip(group, _lockstep(group, searches, spec)):
-            found[i] = (*result, directions[i][0].support != directions[i][1].support)
+def _search(direct: RowStack, trip: RowStack, spec, t_grid,
+            fixed_ts: list) -> list[tuple[float, float, bool]]:
+    """``(divergence, temperature, support extended)`` of each direction i:
+    the divergence of row i of ``direct`` from row i of ``trip`` annealed,
+    minimized over temperature unless ``fixed_ts[i]`` fixes it.  Where the two
+    supports differ, both rows go onto their union as :func:`core.embed`
+    puts them, with log-probabilities taken anew from the probabilities."""
+    grid, n = np.asarray(t_grid, dtype=float), len(fixed_ts)
+    row, ids = np.concatenate([direct.row, trip.row]), np.concatenate([direct.ids, trip.ids])
+    order = np.lexsort((ids, row))
+    new = np.concatenate(([True], (np.diff(row[order]) != 0) | (np.diff(ids[order]) != 0)))
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(new) - 1  # each entry's place in its direction's union
+    width = np.bincount(row[order][new], minlength=n)
+    extended = ((width != np.bincount(direct.row, minlength=n))
+                | (width != np.bincount(trip.row, minlength=n)))
+    redo = np.repeat(extended, width)
+    sides = []
+    for side, at in ((direct, slot[:len(direct.row)]), (trip, slot[len(direct.row):])):
+        probs, logp = np.zeros(len(redo)), np.full(len(redo), -math.inf)
+        probs[at], logp[at] = side.probs, side.logp
+        with np.errstate(divide="ignore"):
+            logp[redo] = np.log(probs[redo])
+        sides += [probs, logp]
+    start, block = np.cumsum(width) - width, np.arange(n) // _LOCKSTEP_DIRECTIONS
+    found: list = [None] * n
+    for k, b in dict.fromkeys(zip(width.tolist(), block.tolist())):
+        group = np.flatnonzero((width == k) & (block == b)).tolist()
+        at = start[group][:, None] + np.arange(k)
+        searches = [_golden_section(grid, fixed_ts[i]) for i in group]
+        for i, result in zip(group, _lockstep([a[at] for a in sides], searches, spec)):
+            found[i] = (*result, bool(extended[i]))
     return found
 
 
-def _lockstep(group: list, searches: list, spec: DivergenceSpec) -> list[tuple[float, float]]:
-    """Run the searches of ``(index, direct, trip)`` directions over supports
-    of one length together, annealing all pending temperatures in one array."""
-    direct_p, direct_logp, trip_logp, trip_p = (
-        np.array([getattr(item[side], name) for item in group])
-        for side, name in ((1, "probs"), (1, "logp"), (2, "logp"), (2, "probs"))
-    )
+def _lockstep(sides: list, searches: list, spec: DivergenceSpec) -> list[tuple[float, float]]:
+    """Run the searches of directions over supports of one length together,
+    annealing all pending temperatures in one array.  ``sides`` holds the
+    (n, k) probabilities and log-probabilities of the direct rows, then of
+    the trips."""
+    direct_p, direct_logp, trip_p, trip_logp = sides
     results: list = [None] * len(searches)
     pending = {i: next(g) for i, g in enumerate(searches)}
     while pending:
@@ -154,16 +170,33 @@ def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
     """Consistency reports of ``(lang_pair, prompt_pair)`` items, in order,
     from one lockstep search over both directions of every item.  Given,
     ``fixed(a, b)`` replaces the search of direction a -> b by one round-trip
-    temperature, and ``fixed_direct(a, b)`` anneals its direct row first."""
-    directions = []
-    for (m, n), (x_m, x_n) in pairs:
-        for a, b, x in ((m, n, x_m), (n, m, x_n)):
-            trip = round_trip(translators[(a, b)], pi[b], translators[(b, a)], x)
-            direct = pi[a].row(x)
-            directions.append((direct if fixed_direct is None
-                               else anneal(direct, fixed_direct(a, b)), trip))
-    found = _search(directions, spec, t_grid, None if fixed is None else
-                    [fixed(a, b) for (m, n), _ in pairs for a, b in ((m, n), (n, m))])
+    temperature, and ``fixed_direct(a, b)`` anneals its direct row first.
+    The trips of each ordered language pair are built in one pass; a missing
+    row raises as the first failing direction, taken in order, would."""
+    if not pairs:
+        return []
+    routes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for j, ((m, n), (x_m, x_n)) in enumerate(pairs):  # directions 2j and 2j + 1
+        routes.setdefault((m, n), []).append((2 * j, x_m))
+        routes.setdefault((n, m), []).append((2 * j + 1, x_n))
+    order, directs, trips, fixed_ts, failed = [], [], [], [], {}
+    for (a, b), items in routes.items():
+        index, prompts = zip(*items)
+        stack, lost = round_trips(translators[(a, b)], pi[b], translators[(b, a)], prompts)
+        failed.update((index[k], msg) for k, msg in lost.items())
+        for d, x in items:
+            try:
+                direct = pi[a].row(x)
+            except StructuralError as err:
+                failed.setdefault(d, str(err))
+                continue
+            directs.append(direct if fixed_direct is None else anneal(direct, fixed_direct(a, b)))
+        trips.append(stack._replace(row=stack.row + len(order)))
+        order += index
+        fixed_ts += [None if fixed is None else fixed(a, b)] * len(items)
+    raise_first(failed)
+    found = dict(zip(order, _search(RowStack.of(directs), RowStack(*map(np.concatenate, zip(*trips))),
+                                    spec, t_grid, fixed_ts)))
     reports = []
     for j, (lang_pair, prompt_pair) in enumerate(pairs):
         (d1, t1, ext1), (d2, t2, ext2) = found[2 * j], found[2 * j + 1]

@@ -40,7 +40,8 @@ from xlconsist.core import (
     StochasticKernel,
     StructuralError,
     logsumexp,
-    round_trip,
+    raise_first,
+    round_trips,
 )
 from xlconsist.scenario import Scenario
 
@@ -131,22 +132,19 @@ def initial_logits(scenario: Scenario) -> LogitTable:
 # round-trip targets
 
 
-def _sample(kernel: StochasticKernel, ids: np.ndarray, keys: np.ndarray, u: np.ndarray,
-            reach: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse-CDF draw of one response per key from the row for ``ids[key]``,
-    all keys at once: the sorted response IDs, one index into them per key, and
-    the responses each prompt reaches.  ``reach[i, j]`` says prompt ``i`` reaches
-    ``ids[j]`` with positive mass; a reached ID without a row raises, naming the
-    smallest.  Column j of the ``+inf``-padded table is the cumulative sum of
-    row j, so counting its entries below a draw is ``searchsorted(side="left")``.
-    Picks are clamped to the row's positive-mass entries, so every draw is reached."""
+def _sampler(kernel: StochasticKernel) -> Callable:
+    """Tabulate every row of the kernel once, and return the inverse-CDF draw
+    ``sample(ids, keys, u, reach)``: one response per key from the row for
+    ``ids[key]``, all keys at once.  It returns the sorted response IDs, one
+    index into them per key, and the responses each prompt reaches.
+    ``reach[i, j]`` says prompt ``i`` reaches ``ids[j]`` with positive mass; a
+    reached ID without a row raises, naming the smallest.  Column j of the
+    ``+inf``-padded table is the cumulative sum of row j, so counting its
+    entries below a draw is ``searchsorted(side="left")``.  Picks are clamped
+    to the row's positive-mass entries, so every draw is reached."""
     row_ids = np.array(sorted(kernel.rows))
-    at = np.minimum(np.searchsorted(row_ids, ids), len(row_ids) - 1)
-    absent = (row_ids[at] != ids) & reach.any(axis=0)
-    if absent.any():
-        kernel.row(int(ids[absent].min()))  # raises, naming the ID
     rows = [kernel.rows[i] for i in row_ids.tolist()]
-    cum = np.full((max(len(r.probs) for r in rows), len(rows)), math.inf)
+    cum = np.full((max((len(r.probs) for r in rows), default=0), len(rows)), math.inf)
     support, bounds = np.empty(cum.T.shape, dtype=int), np.empty((2, len(rows)), dtype=int)
     live = np.empty(cum.T.shape, dtype=bool)
     for j, r in enumerate(rows):
@@ -161,11 +159,19 @@ def _sample(kernel: StochasticKernel, ids: np.ndarray, keys: np.ndarray, u: np.n
     index = index.reshape(support.shape)
     reached = np.zeros((len(rows), len(responses)), dtype=bool)
     reached[np.arange(len(rows))[:, None], index] = live
-    drawn = at[keys]
-    picked = np.zeros(len(keys), dtype=int)
-    for col in cum:
-        picked += col[drawn] < u
-    return responses, index[drawn, np.clip(picked, *bounds[:, drawn])], reach @ reached[at]
+
+    def sample(ids: np.ndarray, keys: np.ndarray, u: np.ndarray, reach: np.ndarray):
+        at = np.minimum(np.searchsorted(row_ids, ids), len(row_ids) - 1)
+        absent = (row_ids[at] != ids) & reach.any(axis=0)
+        if absent.any():
+            kernel.row(int(ids[absent].min()))  # raises, naming the ID
+        drawn = at[keys]
+        picked = np.zeros(len(keys), dtype=int)
+        for col in cum:
+            picked += col[drawn] < u
+        return responses, index[drawn, np.clip(picked, *bounds[:, drawn])], reach @ reached[at]
+
+    return sample
 
 
 def round_trip_target(
@@ -182,24 +188,30 @@ def round_trip_target(
     returns the identical exact result.  Otherwise estimated from ``mc``
     samples, smoothed at the probability floor, and renormalized.
     """
-    return _route_targets(scenario, lang, via, (prompt,), mc)[0]
+    return _route_targets(scenario, lang, via, (prompt,), mc, {})[0]
 
 
 def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[int],
-                   mc: MonteCarloConfig | None) -> list[LogDist]:
-    """:func:`round_trip_target` of each prompt; each would draw the same block
-    from ``default_rng(mc.seed)``, so one is drawn and every stage runs once."""
+                   mc: MonteCarloConfig | None, samplers: dict[int, Callable]) -> list[LogDist]:
+    """:func:`round_trip_target` of each prompt, every stage run once for all
+    of them.  Each Monte-Carlo target would draw the same block from
+    ``default_rng(mc.seed)``, so one is drawn; ``samplers`` holds each
+    kernel's :func:`_sampler` by ``id``, made on first use."""
     tau_out = scenario.translator(lang, via)
     tau_back = scenario.translator(via, lang)
     pi = scenario.ref[via]
     if mc is None or (tau_out.is_deterministic() and tau_back.is_deterministic()):
-        return [round_trip(tau_out, pi, tau_back, prompt) for prompt in prompts]
+        trips, failed = round_trips(tau_out, pi, tau_back, prompts)
+        raise_first(failed)
+        return trips.dists()
 
     u = np.tile(np.random.default_rng(mc.seed).random((mc.samples, 3)), (len(prompts), 1))
     prompt_of = np.repeat(np.arange(len(prompts)), mc.samples)
     ids, keys, reach = np.asarray(prompts), prompt_of, np.eye(len(prompts), dtype=bool)
     for kernel, draws in zip((tau_out, pi, tau_back), u.T):
-        ids, keys, reach = _sample(kernel, ids, keys, draws, reach)
+        if id(kernel) not in samplers:
+            samplers[id(kernel)] = _sampler(kernel)
+        ids, keys, reach = samplers[id(kernel)](ids, keys, draws, reach)
     counts = np.bincount(prompt_of * len(ids) + keys, minlength=len(prompts) * len(ids))
     return [LogDist.from_probs(ids[r], c[r] / mc.samples).floored()
             for r, c in zip(reach, counts.reshape(len(prompts), -1))]
@@ -212,10 +224,12 @@ def round_trip_targets(
 
     Each is computed once.  The Monte-Carlo targets of a route share one
     block of uniforms, the block a fresh ``default_rng(mc.seed)`` draws for
-    each of them, so the map does not depend on the order they are built in."""
+    each of them, so the map does not depend on the order they are built in.
+    Each kernel is tabulated for sampling once, not once per route."""
+    samplers: dict[int, Callable] = {}
     return {(lang, via, p): t for lang in scenario.lang_ids for via in _routes(scenario, lang)
-            for p, t in zip(scenario.space(lang).prompts,
-                            _route_targets(scenario, lang, via, scenario.space(lang).prompts, mc))}
+            for p, t in zip(scenario.space(lang).prompts, _route_targets(
+                scenario, lang, via, scenario.space(lang).prompts, mc, samplers))}
 
 
 # ---------------------------------------------------------------------------

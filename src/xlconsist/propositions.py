@@ -95,6 +95,10 @@ def _minimality(
     seed: int = 0,
 ) -> CheckResult:
     best = n_language_total(optimum.policy, s, optimum.targets)
+    if not math.isfinite(best):  # every margin would be inf - inf = nan
+        return CheckResult(check_id, "fail", f"objective at the optimum is {best}, so no margin "
+                           f"is defined; optimum.floored {optimum.floored}",
+                           observed=float(best), expected="finite objective, margin > 0")
     rng = np.random.default_rng(seed)
     worst_margin = math.inf
     for _ in range(n_perturbations):

@@ -586,6 +586,8 @@ def _object(value, where: str) -> dict:
 
 def _id(value, where: str) -> int:
     try:
+        if isinstance(value, bool):  # JSON true and false are not numbers
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ScenarioFormatError(f"{where}: {value!r} is not an integer") from None
@@ -706,6 +708,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     st = _need(doc, "strengths", "document")
     u, v = _need(st, "u", "strengths", _list), _need(st, "v", "strengths", _list)
+    for name, vec in (("u", u), ("v", v)):
+        if not all(type(x) in (int, float) for x in vec):
+            raise ScenarioFormatError(f"strengths {name}: entries must be numbers")
     try:
         strengths = StrengthConfig(tuple(u), tuple(v))
     except (TypeError, ValueError) as err:

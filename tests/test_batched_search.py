@@ -18,6 +18,7 @@ from xlconsist.core import (
     DIVERGENCE_KINDS,
     DivergenceSpec,
     LogDist,
+    RowStack,
     anneal,
     anneal_rows,
     f_divergence,
@@ -65,6 +66,11 @@ def _direction(seed, k, styles, extended):
     return _row(rng, first, styles[0]), _row(rng, second, styles[1])
 
 
+def _search_pairs(pairs, spec, grid, fixed):
+    directs, trips = zip(*pairs)
+    return _search(RowStack.of(directs), RowStack.of(trips), spec, grid, fixed)
+
+
 def _scalar(fn, *args):
     # the oracle warns where a chi-square term overflows to +inf; the new
     # code must not, so only the oracle's warning is silenced
@@ -95,7 +101,7 @@ directions = st.builds(
 def test_search_matches_scalar_oracle(direction, kind, grid, fixed):
     direct, trip = direction
     spec = DivergenceSpec(kind)
-    got = _outcome(lambda: _search([direction], spec, GRIDS[grid], [fixed])[0])
+    got = _outcome(lambda: _search_pairs([direction], spec, GRIDS[grid], [fixed])[0])
     want = _outcome(lambda: _scalar(oracle._directional_divergence,
                                     direct, trip, spec, GRIDS[grid], fixed))
     assert got == want
@@ -170,7 +176,7 @@ def test_lockstep_directions_leave_at_different_steps(block, monkeypatch):
     fixed = [None] * (len(pairs) - 1) + [2.5]
     for kind in DIVERGENCE_KINDS:
         spec = DivergenceSpec(kind)
-        found = _search(list(pairs), spec, DEFAULT_T_GRID, fixed)
+        found = _search_pairs(pairs, spec, DEFAULT_T_GRID, fixed)
         for label, (direct, trip), t_fixed, got in zip(labels, pairs, fixed, found):
             want = _scalar(oracle._directional_divergence,
                            direct, trip, spec, DEFAULT_T_GRID, t_fixed)

@@ -9,12 +9,14 @@ status, the same first failing direction in the detail and the same
 """
 
 import dataclasses
+import warnings
 
 import multi_language_oracle as oracle
 import numpy as np
 import pytest
 
 from xlconsist import propositions
+from xlconsist.core import LogDist, StochasticKernel
 from xlconsist.objectives import n_language_optimum
 from xlconsist.propositions import (
     check_multi_language_consistency,
@@ -104,3 +106,22 @@ def test_run_checks_runs_minimality_once(monkeypatch, n_langs, self_test):
     assert results[3] == check_multi_language_minimality(s, optimum=optimum)
     if n_langs == 2:
         assert _outcome(results[0])[1:] == _outcome(results[3])[1:]
+
+
+def test_minimality_fails_when_the_objective_at_the_optimum_is_infinite():
+    # a reference row with an exact zero: the round-trip target of language
+    # 1, prompt 8 has a zero too, so that optimum row is floored while the
+    # objective, read on the unfloored targets, is +inf at the optimum; the
+    # margins were inf - inf = nan and minimality passed on them
+    s = generate(GeneratorConfig(n_langs=2, n_prompts=2, n_candidates=3, seed=7))
+    p0 = s.space(0).prompts[0]
+    rows = {**s.ref[0].rows, p0: LogDist.from_probs(s.ref[0].row(p0).support, [0.9, 0.1, 0.0])}
+    s = dataclasses.replace(s, ref={**s.ref, 0: StochasticKernel(0, 0, rows)})
+    assert n_language_optimum(s).floored == ((1, 8),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the test
+        results = {r.check_id: r for r in run_checks(s)}
+    for cid in ("optimum-minimality", "multi-language-minimality"):
+        assert results[cid].status == "fail", cid
+        assert results[cid].observed == float("inf")
+        assert "optimum.floored ((1, 8),)" in results[cid].detail

@@ -192,6 +192,22 @@ class TestEval:
             assert "languages: IDs must be 0..1 in the order listed" in err
             assert "kernel-present" not in err and "row-per" not in err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("languages id", lambda doc: doc["languages"][0].update(id=False)),
+        ("document seed", lambda doc: doc.update(seed=True)),
+        ("strengths u", lambda doc: doc["strengths"].update(u=[True, True])),
+    ], ids=["id", "seed", "strength"])
+    def test_boolean_for_a_number_exits_one(self, bench, tmp_path, capsys, field, edit):
+        # JSON true and false are not 0 and 1: each loaded silently as one
+        doc = json.loads(bench.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--scenario", bad, "--policy", "ref",
+                   "--out", tmp_path / "m.json") == 1
+        assert f"{field}:" in capsys.readouterr().err
+
     def test_invalid_scenario_exits_one(self, bench, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from xlconsist.core import LogDist, StochasticKernel, StructuralError
 from xlconsist.objectives import (
     MonteCarloConfig,
-    _sample,
+    _sampler,
     round_trip_target,
     round_trip_targets,
 )
@@ -100,13 +100,13 @@ def test_drawn_key_without_a_row_is_named():
     kernel = StochasticKernel(0, 1, {3: LogDist.uniform((7, 8)), 9: LogDist.uniform((2, 7))})
     ids = np.array([1, 3, 4, 5, 9])
     with pytest.raises(StructuralError, match="kernel 0->1 has no row for ID 4$"):
-        _sample(kernel, ids, np.array([1, 4, 3, 1, 2, 3]), np.full(6, 0.5),
-                np.array([[False, True, True, True, True]]))
+        _sampler(kernel)(ids, np.array([1, 4, 3, 1, 2, 3]), np.full(6, 0.5),
+                         np.array([[False, True, True, True, True]]))
     # keys that reach only IDs with rows draw; an ID without one is never asked for
-    responses, index, reach = _sample(kernel, ids, np.array([4, 1, 1, 4]),
-                                      np.array([0.9, 0.2, 0.7, 0.1]),
-                                      np.array([[False, True, False, False, True],
-                                                [False, True, False, False, False]]))
+    responses, index, reach = _sampler(kernel)(ids, np.array([4, 1, 1, 4]),
+                                               np.array([0.9, 0.2, 0.7, 0.1]),
+                                               np.array([[False, True, False, False, True],
+                                                         [False, True, False, False, False]]))
     assert responses[index].tolist() == [7, 7, 8, 2]
     assert responses.tolist() == [2, 7, 8]
     assert reach.tolist() == [[True, True, True], [False, True, True]]

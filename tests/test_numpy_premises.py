@@ -2,7 +2,7 @@
 (``metrics._search`` with ``core.anneal_rows`` and
 ``core.f_divergence_rows``) and the grouped reduction of
 ``core.pushforward`` rely on to give the same bits as one-row arithmetic,
-and that the Monte-Carlo sampler (``objectives._sample``) relies on to pick
+and that the Monte-Carlo sampler (``objectives._sampler``) relies on to pick
 what ``searchsorted`` on each row picked, and that the stacked fitters
 (``optim.fit_dco`` and ``optim.fit_pco_reinforce``) rely on to draw the
 same stream and give the bits of the per-row loops.

@@ -390,9 +390,9 @@ class TestTargetsBuiltOnce:
         s = generate(self.WORLDS[world])
         calls = []
 
-        def counting(scenario, lang, via, prompts, mc):
+        def counting(scenario, lang, via, prompts, *rest):
             calls.extend((lang, via, p) for p in prompts)
-            return route_targets(scenario, lang, via, prompts, mc)
+            return route_targets(scenario, lang, via, prompts, *rest)
 
         # every target, one-prompt or a whole route, is built at this seam
         route_targets = objectives._route_targets

@@ -1,6 +1,8 @@
-"""The regeneration scripts start as their docstrings say, from a bare
-``python``: they find the package and the pipelines themselves."""
+"""The regeneration scripts and the scale probe start as their docstrings
+say, from a bare ``python``: they find the package and the pipelines
+themselves."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,4 +41,23 @@ def test_script_imports_its_pipeline_without_pythonpath(tmp_path, script, pipeli
     assert Path(package).resolve().parent == ROOT / "src" / "xlconsist"
     assert found == "True"
     assert _golden_state() == before
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scale_probe_prints_a_stable_hash(tmp_path):
+    # two processes, started as the docstring says, hash the same outputs
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    runs = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"),
+                               "--langs", "2", "4"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append([json.loads(line) for line in done.stdout.splitlines()])
+    first, second = runs
+    assert [r["langs"] for r in first] == [2, 4]
+    assert [r["sha256"] for r in first] == [r["sha256"] for r in second]
+    for r in first:
+        assert all(r[f"{stage}_s"] > 0 for stage in ("optimum", "evaluate", "run_checks",
+                                                        "fit_dco"))
     assert list(tmp_path.iterdir()) == []
