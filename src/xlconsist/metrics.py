@@ -32,6 +32,7 @@ from xlconsist.core import (
     RowStack,
     StochasticKernel,
     StructuralError,
+    _rows_for,
     anneal,
     anneal_rows,
     entropy,
@@ -184,13 +185,8 @@ def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
         index, prompts = zip(*items)
         stack, lost = round_trips(translators[(a, b)], pi[b], translators[(b, a)], prompts)
         failed.update((index[k], msg) for k, msg in lost.items())
-        for d, x in items:
-            try:
-                direct = pi[a].row(x)
-            except StructuralError as err:
-                failed.setdefault(d, str(err))
-                continue
-            directs.append(direct if fixed_direct is None else anneal(direct, fixed_direct(a, b)))
+        directs += [d if fixed_direct is None else anneal(d, fixed_direct(a, b))
+                    for d in _rows_for(pi[a], prompts, index, failed) if d is not None]
         trips.append(stack._replace(row=stack.row + len(order)))
         order += index
         fixed_ts += [None if fixed is None else fixed(a, b)] * len(items)
