@@ -1,29 +1,24 @@
 """Consistency objectives and their closed-form optima.
 
-Two equivalent routes to the same optimum are implemented side by side:
+The penalized objective is a fidelity KL to the reference minus a
+strength-weighted expected log-likelihood of the round-trip target through
+each other language, summed under the prompt priors.  ``round_trip_targets``
+builds those targets once, exact or Monte-Carlo; the optimum carries the
+map, and every other consumer takes it as an argument.
 
-- the penalized objective: a fidelity KL to the reference minus a
-  strength-weighted expected log-likelihood of the round-trip target,
-  summed over languages under the prompt priors;
-- the direct route: per-candidate regression targets whose softmax is the
-  optimum, so matching unnormalized scores to them (any norm) recovers it
-  without ever estimating a normalizer.
+One tilt, computed in log space, serves both routes to the optimum: the
+reference row's log-weights plus each other language's log round-trip
+target times the pairwise strength.  Normalized per prompt, it is the
+closed-form optimum; as it is, it holds the direct route's regression
+targets, whose softmax is therefore the optimum by construction (up to the
+floor below), so matching unnormalized scores to them (any norm) recovers
+it without estimating a normalizer.
 
-Both rest on the round-trip target of each prompt through each other
-language.  ``round_trip_targets`` builds them once, exact or Monte-Carlo;
-the optimum carries that map, and every other consumer takes it as an
-argument rather than recomputing it.
-
-The optimum itself is the strength-weighted geometric mean of the
-reference row and its round-trip target row, computed entirely in log
-space.  Zero-mass target entries would drive the geometric mean to minus
-infinity, so they are lifted to ``LOG_EPS`` and the affected rows flagged.
-
-One product-of-powers path serves any number of languages: each other
-language contributes its round-trip target raised to the pairwise
-strength.  The bilingual optimum is its two-language case; the
-hand-written two-weight formula lives on in the tests as an independent
-oracle.
+Zero masses would drive the tilt to minus infinity, so they are lifted to
+``LOG_EPS``.  The optimum keeps the reference's zeros, and those of each
+target with no zero at positive reference mass; a row where a target has
+one needed the floor and is flagged.  The two-weight bilingual formula
+lives on in the tests as an independent oracle.
 """
 
 from __future__ import annotations
@@ -237,13 +232,9 @@ def round_trip_targets(
 
 
 def _logp_at(d: LogDist, ids: Sequence[int]) -> np.ndarray:
-    idx = {i: k for k, i in enumerate(d.support)}
-    out = np.full(len(ids), -math.inf)
-    for k, i in enumerate(ids):
-        j = idx.get(i)
-        if j is not None:
-            out[k] = d.logp[j]
-    return out
+    """``d.logp`` at each of ``ids``, ``-inf`` where ``d`` has no entry."""
+    at = dict(zip(d.support, d.logp.tolist()))
+    return np.array([at.get(i, -math.inf) for i in ids])
 
 
 def _floor_zeros(logp: np.ndarray) -> np.ndarray:
@@ -338,20 +329,23 @@ class ClosedFormOptimum:
         return self.policy[scenario_lang].row(prompt)
 
 
-def _tilted_row(
-    ref_row: LogDist, tilts: Sequence[tuple[float, LogDist]]
-) -> tuple[LogDist, float, bool]:
-    """ref * prod target^beta, normalized; returns (row, logZ, floor_used)."""
-    unnorm = ref_row.logp.copy()
-    floor_used = False
-    for beta, target in tilts:
-        log_t = _logp_at(target, ref_row.support)
-        if np.any((log_t == -math.inf) & (ref_row.probs > 0)):
-            floor_used = True
-            log_t = _floor_zeros(log_t)
-        unnorm = unnorm + beta * log_t
-    log_z = logsumexp(unnorm)
-    return LogDist.from_logp(ref_row.support, unnorm), log_z, floor_used
+def _tilt(scenario: Scenario, lang: int, prompt: int,
+          targets: Mapping[tuple[int, int, int], LogDist],
+          weight: Callable[[int, int], float]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The reference row's log-weights plus ``weight(lang, via)`` times each
+    route's log target, zeros floored, added in route order; the entries the
+    optimum keeps at ``-inf``; and whether a route needed the floor."""
+    ref_row = scenario.ref[lang].row(prompt)
+    tilt, zeros, floored = _floor_zeros(ref_row.logp), ref_row.logp == -math.inf, False
+    for via in _routes(scenario, lang):
+        log_t = _logp_at(targets[(lang, via, prompt)], ref_row.support)
+        lost = log_t == -math.inf
+        if (lost & (ref_row.probs > 0)).any():
+            floored = True
+        else:
+            zeros |= lost
+        tilt += weight(lang, via) * _floor_zeros(log_t)
+    return tilt, zeros, floored
 
 
 def tilted_optimum(
@@ -365,11 +359,10 @@ def tilted_optimum(
     for lang in scenario.lang_ids:
         rows = {}
         for prompt in scenario.space(lang).prompts:
-            tilts = [(weight(lang, via), targets[(lang, via, prompt)])
-                     for via in _routes(scenario, lang)]
-            row, log_z, used = _tilted_row(scenario.ref[lang].row(prompt), tilts)
-            rows[prompt] = row
-            log_norm[prompt] = log_z
+            unnorm, zeros, used = _tilt(scenario, lang, prompt, targets, weight)
+            unnorm[zeros] = -math.inf
+            rows[prompt] = LogDist.from_logp(scenario.ref[lang].row(prompt).support, unnorm)
+            log_norm[prompt] = logsumexp(unnorm)
             if used:
                 floored.append((lang, prompt))
         policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
@@ -408,14 +401,10 @@ def n_language_log_targets(
 ) -> np.ndarray:
     """Per-candidate regression targets: log reference plus, for every other
     language, the strength times the log round-trip target, with zero
-    masses floored, aligned with the reference row's support order."""
+    masses floored, aligned with the reference row's support order: the tilt
+    that :func:`tilted_optimum` normalizes."""
     _check_prompt(scenario, prompt, lang)
-    ref_row = scenario.ref[lang].row(prompt)
-    out = _floor_zeros(ref_row.logp)
-    for via in _routes(scenario, lang):
-        log_t = _floor_zeros(_logp_at(targets[(lang, via, prompt)], ref_row.support))
-        out += scenario.beta(lang, via) * log_t
-    return out
+    return _tilt(scenario, lang, prompt, targets, scenario.beta)[0]
 
 
 def target_table(
