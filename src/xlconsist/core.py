@@ -155,9 +155,9 @@ class LogDist:
         order = np.lexsort((self.support, -self.logp))
         return tuple(self.support[k] for k in order)
 
-    def floored(self, log_eps: float = LOG_EPS) -> "LogDist":
+    def floored(self) -> "LogDist":
         """Raise every entry (including exact zeros) to the floor, renormalize."""
-        return LogDist.from_logp(self.support, np.maximum(self.logp, log_eps))
+        return LogDist.from_logp(self.support, np.maximum(self.logp, LOG_EPS))
 
 
 def anneal(d: LogDist, temp: Temperature | float) -> LogDist:
@@ -183,7 +183,9 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
 def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Renormalized ``(logp, probs)`` of each row of an (n, k) array
     annealed at its own temperature, with the bits and checks of
-    ``LogDist.from_logp``; unlike :func:`anneal`, it renormalizes at T = 1."""
+    ``LogDist.from_logp``; unlike :func:`anneal`, it renormalizes at T = 1.
+    A row less a log-sum-exp no smaller than its maximum stays at or below
+    0, so of the row checks only normalization can fail after that."""
     bad = ~(temps > 0)
     if bad.any():
         raise ValueError(f"temperature must be positive, got {float(temps[bad][0])}")
@@ -193,8 +195,6 @@ def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.nda
     if (lp.max(axis=1) == -math.inf).any():
         raise ValueError("all log-weights are -inf")
     lp = lp - logsumexp_rows(lp)[:, None]
-    if (lp > 1e-12).any():
-        raise ValueError("log-probability above 0")
     total = logsumexp_rows(lp)
     off = ~(np.abs(total) <= NORMALIZATION_TOL)
     if off.any():
@@ -420,14 +420,7 @@ def round_trip(tau_out: StochasticKernel, pi: StochasticKernel, tau_back: Stocha
     return trips.dists()[0]
 
 
-_GENERATORS = {
-    "forward-kl": lambda t: t * math.log(t) if t > 0 else 0.0,
-    "reverse-kl": lambda t: -math.log(t),
-    "total-variation": lambda t: 0.5 * abs(t - 1.0),
-    "chi-square": lambda t: (t - 1.0) ** 2,
-}
-
-DIVERGENCE_KINDS = tuple(_GENERATORS)
+DIVERGENCE_KINDS = ("forward-kl", "reverse-kl", "total-variation", "chi-square")
 
 # summands of each masked divergence, as functions of (p, log p, q, log q)
 _TERMS = {
@@ -439,20 +432,18 @@ _TERMS = {
 
 @dataclass(frozen=True)
 class DivergenceSpec:
-    """Selects the convex generator of an f-divergence.
+    """Selects an f-divergence by name.
 
-    Every kind satisfies f(1) = 0; convexity is spot-checked in the test
-    suite via midpoint inequalities on a grid.
+    Each kind is computed from its summands in ``_TERMS`` (total variation
+    from ``|p - q|``); the test suite checks each against ``sum q f(p/q)``
+    with its textbook generator ``f``.
     """
 
     kind: str = "forward-kl"
 
     def __post_init__(self):
-        if self.kind not in _GENERATORS:
+        if self.kind not in DIVERGENCE_KINDS:
             raise ValueError(f"unknown divergence kind {self.kind!r}; choose from {DIVERGENCE_KINDS}")
-
-    def generator(self, t: float) -> float:
-        return _GENERATORS[self.kind](t)
 
 
 def f_divergence(spec: DivergenceSpec, p: LogDist, q: LogDist) -> float:

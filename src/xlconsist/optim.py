@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from xlconsist.core import StochasticKernel, StructuralError, anneal_rows, logsumexp_rows
+from xlconsist.core import StochasticKernel, anneal_rows, logsumexp_rows
 from xlconsist.objectives import (
     LogitTable,
     dco_loss,
@@ -114,9 +114,6 @@ def _start(scenario: Scenario):
     init = initial_logits(scenario)
     targets = target_table(scenario, optimum.targets)
     order = init.prompts()
-    for p in order:
-        if opt_rows[p].support != init.supports[p]:
-            raise StructuralError(f"row {p}: policy and optimum supports differ")
     lengths = sorted({len(init.supports[p]) for p in order})
     groups = [[p for p in order if len(init.supports[p]) == c] for c in lengths]
     z, t, o = ([np.array([rows[p] for p in g]) for g in groups]

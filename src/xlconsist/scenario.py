@@ -192,8 +192,8 @@ class StrengthConfig:
     def beta(self, m: int, n: int) -> float:
         return self.u[m] * self.v[n]
 
-    def is_balanced(self, tol: float = 1e-9) -> bool:
-        return all(abs(self.u[m] * self.v[m] - 1.0) <= tol for m in range(self.n))
+    def is_balanced(self) -> bool:
+        return all(abs(self.u[m] * self.v[m] - 1.0) <= 1e-9 for m in range(self.n))
 
 
 @dataclass(frozen=True)
