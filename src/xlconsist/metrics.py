@@ -166,6 +166,12 @@ def _lockstep(sides: list, searches: list, spec: DivergenceSpec) -> list[tuple[f
     return results
 
 
+def _require_kernels(pi: Mapping[int, StochasticKernel], langs) -> None:
+    missing = sorted(set(langs) - set(pi))
+    if missing:
+        raise StructuralError(f"policy has no kernel for language {missing[0]}")
+
+
 def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
                 fixed_direct=None) -> list[ConsistencyReport]:
     """Consistency reports of ``(lang_pair, prompt_pair)`` items, in order,
@@ -173,9 +179,11 @@ def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
     ``fixed(a, b)`` replaces the search of direction a -> b by one round-trip
     temperature, and ``fixed_direct(a, b)`` anneals its direct row first.
     The trips of each ordered language pair are built in one pass; a missing
-    row raises as the first failing direction, taken in order, would."""
+    row raises as the first failing direction, taken in order, would, after
+    a missing language, which raises first naming the smallest."""
     if not pairs:
         return []
+    _require_kernels(pi, (m for lang_pair, _ in pairs for m in lang_pair))
     routes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j, ((m, n), (x_m, x_n)) in enumerate(pairs):  # directions 2j and 2j + 1
         routes.setdefault((m, n), []).append((2 * j, x_m))
@@ -455,7 +463,6 @@ def evaluate_policy(
     policy_label: str,
     spec: DivergenceSpec = DivergenceSpec("forward-kl"),
     eps: float = 1e-9,
-    include_consistency: bool = True,
 ) -> MetricsReport:
     """Run the full metric bundle for one policy.
 
@@ -463,6 +470,7 @@ def evaluate_policy(
     candidate of each aligned tuple); the changed fraction compares the
     policy against the scenario's reference model.
     """
+    _require_kernels(policy, scenario.lang_ids)
     acc, ent, chg = {}, {}, {}
     for lang in scenario.lang_ids:
         gold = scenario.gold_map(lang)
@@ -471,7 +479,7 @@ def evaluate_policy(
         chg[lang] = changed_fraction(scenario.ref[lang], policy[lang])
 
     pairs = [((a, b), (pt[a], pt[b])) for a, b in combinations(scenario.lang_ids, 2)
-             for pt in scenario.alignment.prompt_tuples] if include_consistency else []
+             for pt in scenario.alignment.prompt_tuples]
     reports = check_pairs(policy, scenario.translators, pairs, spec, eps, DEFAULT_T_GRID)
 
     return MetricsReport(

@@ -18,10 +18,12 @@ from xlconsist.core import (
     anneal,
 )
 from xlconsist.metrics import (
+    DEFAULT_T_GRID,
     ConsistencyReport,
     accuracy,
     changed_fraction,
     check_consistency,
+    check_pairs,
     entropy_stats,
     evaluate_policy,
     jaccard_correct_overlap,
@@ -117,6 +119,14 @@ class TestCheckConsistency:
                 {0: world.ref[0], 1: world.ref[1]}, world.translators,
                 (0, 1), (0, 10), fixed_temperatures=temps,
             )
+
+    def test_missing_language_is_named(self):
+        # languages 2 and 1 are both missing; the smallest is named, not the first
+        s = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=3))
+        pairs = [((0, 2), (0, 17)), ((0, 1), (0, 9))]
+        with pytest.raises(StructuralError, match="^policy has no kernel for language 1$"):
+            check_pairs({0: s.ref[0]}, s.translators, pairs, DivergenceSpec(), 1e-9,
+                        DEFAULT_T_GRID)
 
     def test_divergence_invariant_under_consistent_relabeling(self):
         a = tiny_bilingual([0.85, 0.15], [0.3, 0.7])
@@ -302,14 +312,19 @@ class TestEvaluatePolicy:
     def test_self_consistent_policy_scores_perfect_clc(self):
         s = generate(GeneratorConfig(n_langs=2, n_prompts=4, n_candidates=4, seed=7))
         policy = relabeled_policy(s)
-        report = evaluate_policy(s, policy, "relabel", include_consistency=True)
+        report = evaluate_policy(s, policy, "relabel")
         assert report.rankc.clc_all == 1.0
         for rep in report.consistency:
             assert rep.satisfied
 
+    def test_missing_language_is_named(self):
+        s = generate(GeneratorConfig(n_langs=2, n_prompts=4, n_candidates=4, seed=7))
+        with pytest.raises(StructuralError, match="^policy has no kernel for language 1$"):
+            evaluate_policy(s, {0: s.ref[0]}, "x")
+
     def test_reference_on_independent_world_is_inconsistent(self):
         s = generate(GeneratorConfig(n_langs=2, n_prompts=4, n_candidates=4, seed=7))
-        report = evaluate_policy(s, dict(s.ref), "ref", include_consistency=False)
+        report = evaluate_policy(s, dict(s.ref), "ref")
         assert report.rankc.clc_all < 1.0
         for lang, v in report.changed.items():
             assert v == 0.0
@@ -329,8 +344,7 @@ class TestEvaluatePolicy:
     def test_report_serializes(self):
         s = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=3))
         from xlconsist.objectives import n_language_optimum
-        report = evaluate_policy(s, dict(n_language_optimum(s).policy), "optimum",
-                                 include_consistency=False)
+        report = evaluate_policy(s, dict(n_language_optimum(s).policy), "optimum")
         doc = report.to_json_dict()
         assert doc["version"] == "1"
         assert len(doc["rankc"]["pairs"]) == 3
