@@ -178,9 +178,10 @@ def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
     from one lockstep search over both directions of every item.  Given,
     ``fixed(a, b)`` replaces the search of direction a -> b by one round-trip
     temperature, and ``fixed_direct(a, b)`` anneals its direct row first.
-    The trips of each ordered language pair are built in one pass; a missing
-    row raises as the first failing direction, taken in order, would, after
-    a missing language, which raises first naming the smallest."""
+    The trips of each ordered language pair are built in one pass.  A missing
+    language raises first, naming the smallest, then a missing translator,
+    naming the first pair in route order, then a missing row, as the first
+    failing direction, taken in order, would."""
     if not pairs:
         return []
     _require_kernels(pi, (m for lang_pair, _ in pairs for m in lang_pair))
@@ -188,6 +189,9 @@ def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
     for j, ((m, n), (x_m, x_n)) in enumerate(pairs):  # directions 2j and 2j + 1
         routes.setdefault((m, n), []).append((2 * j, x_m))
         routes.setdefault((n, m), []).append((2 * j + 1, x_n))
+    for a, b in routes:
+        if (a, b) not in translators:
+            raise StructuralError(f"no translator {a}->{b}")
     order, directs, trips, fixed_ts, failed = [], [], [], [], {}
     for (a, b), items in routes.items():
         index, prompts = zip(*items)

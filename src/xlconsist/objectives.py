@@ -32,6 +32,7 @@ import numpy as np
 from xlconsist.core import (
     LOG_EPS,
     LogDist,
+    RowStack,
     StochasticKernel,
     StructuralError,
     logsumexp,
@@ -49,8 +50,10 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("sample count must be >= 1")
+        for name, low in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,30 +133,34 @@ def initial_logits(scenario: Scenario) -> LogitTable:
 def _sampler(kernel: StochasticKernel) -> Callable:
     """Tabulate every row of the kernel once, and return the inverse-CDF draw
     ``sample(ids, keys, u, reach)``: one response per key from the row for
-    ``ids[key]``, all keys at once.  It returns the sorted response IDs, one
-    index into them per key, and the responses each prompt reaches.
-    ``reach[i, j]`` says prompt ``i`` reaches ``ids[j]`` with positive mass; a
-    reached ID without a row raises, naming the smallest.  Column j of the
-    ``+inf``-padded table is the cumulative sum of row j, so counting its
-    entries below a draw is ``searchsorted(side="left")``.  Picks are clamped
-    to the row's positive-mass entries, so every draw is reached."""
-    row_ids = np.array(sorted(kernel.rows))
+    ``ids[key]``, all keys at once, ``u`` broadcast against ``keys``.  It
+    returns the sorted response IDs, one index into them per key, and the
+    responses each prompt reaches.  ``reach[i, j]`` says prompt ``i`` reaches
+    ``ids[j]`` with positive mass; a reached ID without a row raises, naming
+    the smallest.  Column j of the table is row j's cumulative sum, taken
+    zero-padded to the rows' width W (same bits) and padded with ``+inf``, so
+    counting its entries below a draw is ``searchsorted(side="left")``.
+    Count k of row j answers ``pick[j * (W + 1) + k]``: entry k clamped to
+    the row's positive-mass entries, so every draw is reached."""
+    row_ids = np.array(sorted(kernel.rows), dtype=int)
     rows = [kernel.rows[i] for i in row_ids.tolist()]
-    cum = np.full((max((len(r.probs) for r in rows), default=0), len(rows)), math.inf)
-    support, bounds = np.empty(cum.T.shape, dtype=int), np.empty((2, len(rows)), dtype=int)
-    live = np.empty(cum.T.shape, dtype=bool)
-    for j, r in enumerate(rows):
-        cum[: len(r.probs), j] = np.cumsum(r.probs)
-        # pad with a real ID, so every response is real, and with its flag,
-        # so the pad marks that response as the entry it repeats does
-        support[j], live[j] = r.support[-1], r.probs[-1] > 0.0
-        support[j, : len(r.probs)] = r.support
-        live[j, : len(r.probs)] = r.probs > 0.0
-        bounds[:, j] = np.flatnonzero(r.probs)[[0, -1]]
+    n = np.array([len(r.probs) for r in rows], dtype=int)
+    width = n.max(initial=1)  # not 0 for a kernel with no rows: argmax needs a column
+    real = np.arange(width) < n[:, None]
+    # past its end a row repeats its last ID, so every response is real, and
+    # that entry's flag, so the pad marks the response as the entry does
+    at = (np.cumsum(n) - n)[:, None] + np.minimum(np.arange(width), n[:, None] - 1)
+    flat = RowStack.of(rows)
+    probs, support = flat.probs[at], flat.ids[at]
+    padded = np.where(real, probs, 0.0)
+    cum = np.where(real, np.cumsum(padded, axis=1), math.inf).T.copy()
     responses, index = np.unique(support, return_inverse=True)
     index = index.reshape(support.shape)
     reached = np.zeros((len(rows), len(responses)), dtype=bool)
-    reached[np.arange(len(rows))[:, None], index] = live
+    reached[np.arange(len(rows))[:, None], index] = probs > 0.0
+    mass = padded > 0.0
+    lo, hi = mass.argmax(axis=1)[:, None], width - 1 - mass[:, ::-1].argmax(axis=1)[:, None]
+    pick = np.take_along_axis(index, np.clip(np.arange(width + 1), lo, hi), axis=1).ravel()
 
     def sample(ids: np.ndarray, keys: np.ndarray, u: np.ndarray, reach: np.ndarray):
         at = np.minimum(np.searchsorted(row_ids, ids), len(row_ids) - 1)
@@ -161,10 +168,10 @@ def _sampler(kernel: StochasticKernel) -> Callable:
         if absent.any():
             kernel.row(int(ids[absent].min()))  # raises, naming the ID
         drawn = at[keys]
-        picked = np.zeros(len(keys), dtype=int)
+        picked = drawn * (width + 1)
         for col in cum:
             picked += col[drawn] < u
-        return responses, index[drawn, np.clip(picked, *bounds[:, drawn])], reach @ reached[at]
+        return responses, pick[picked], reach @ reached[at]
 
     return sample
 
@@ -191,7 +198,8 @@ def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[in
     """:func:`round_trip_target` of each prompt, every stage run once for all
     of them.  Each Monte-Carlo target would draw the same block from
     ``default_rng(mc.seed)``, so one is drawn; ``samplers`` holds each
-    kernel's :func:`_sampler` by ``id``, made on first use."""
+    kernel's :func:`_sampler` by ``id``, made on first use.  Each stage reads
+    one contiguous row of the block, broadcast over the prompts."""
     tau_out = scenario.translator(lang, via)
     tau_back = scenario.translator(via, lang)
     pi = scenario.ref[via]
@@ -200,16 +208,18 @@ def _route_targets(scenario: Scenario, lang: int, via: int, prompts: Sequence[in
         raise_first(failed)
         return trips.dists()
 
-    u = np.tile(np.random.default_rng(mc.seed).random((mc.samples, 3)), (len(prompts), 1))
-    prompt_of = np.repeat(np.arange(len(prompts)), mc.samples)
-    ids, keys, reach = np.asarray(prompts), prompt_of, np.eye(len(prompts), dtype=bool)
-    for kernel, draws in zip((tau_out, pi, tau_back), u.T):
+    u = np.random.default_rng(mc.seed).random((mc.samples, 3)).T.copy()
+    prompt_of = np.arange(len(prompts))[:, None]
+    ids, reach = np.asarray(prompts), np.eye(len(prompts), dtype=bool)
+    keys = np.repeat(prompt_of, mc.samples, axis=1)
+    for kernel, draws in zip((tau_out, pi, tau_back), u):
         if id(kernel) not in samplers:
             samplers[id(kernel)] = _sampler(kernel)
         ids, keys, reach = samplers[id(kernel)](ids, keys, draws, reach)
-    counts = np.bincount(prompt_of * len(ids) + keys, minlength=len(prompts) * len(ids))
-    return [LogDist.from_probs(ids[r], c[r] / mc.samples).floored()
-            for r, c in zip(reach, counts.reshape(len(prompts), -1))]
+    counts = np.bincount((prompt_of * len(ids) + keys).ravel(), minlength=len(prompts) * len(ids))
+    with np.errstate(divide="ignore"):
+        logp = np.maximum(np.log(counts.reshape(len(prompts), -1) / mc.samples), LOG_EPS)
+    return [LogDist.from_logp(ids[r], lp[r]) for r, lp in zip(reach, logp)]
 
 
 def round_trip_targets(
@@ -300,10 +310,9 @@ def n_language_total(
     for lang in scenario.lang_ids:
         prior = scenario.priors[lang]
         for prompt, mass in zip(prior.support, prior.probs):
-            if mass == 0.0:
-                continue
-            val = n_language_objective(theta_by_lang[lang], scenario, prompt, lang, targets)
-            total += mass * val.total
+            if mass > 0.0:
+                total += mass * n_language_objective(
+                    theta_by_lang[lang], scenario, prompt, lang, targets).total
     return total
 
 
@@ -445,9 +454,5 @@ def dco_loss(
 
 
 def prior_weights(scenario: Scenario) -> dict[int, float]:
-    w = {}
-    for lang in scenario.lang_ids:
-        prior = scenario.priors[lang]
-        for prompt, mass in zip(prior.support, prior.probs):
-            w[prompt] = float(mass)
-    return w
+    return {prompt: float(mass) for lang in scenario.lang_ids
+            for prompt, mass in zip(scenario.priors[lang].support, scenario.priors[lang].probs)}

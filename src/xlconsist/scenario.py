@@ -369,24 +369,14 @@ def generate(config: GeneratorConfig) -> Scenario:
                     rows[c_m] = _translator_row(targets, c_n, delta)
             translators[(m, n)] = StochasticKernel(domain=m, codomain=n, rows=rows)
 
-    priors = {}
-    for m, sp in enumerate(spaces):
-        if config.prior_mode == "uniform":
-            priors[m] = LogDist.uniform(sp.prompts)
-        else:
-            priors[m] = LogDist.from_probs(sp.prompts, _dirichlet(rng, 1.0, P))
+    priors = {m: LogDist.uniform(sp.prompts) if config.prior_mode == "uniform"
+              else LogDist.from_probs(sp.prompts, _dirichlet(rng, 1.0, P))
+              for m, sp in enumerate(spaces)}
 
     u = config.u if config.u is not None else (1.0,) * N
     v = config.v if config.v is not None else (1.0,) * N
-    return Scenario(
-        spaces=tuple(spaces),
-        alignment=alignment,
-        ref=ref,
-        translators=translators,
-        priors=priors,
-        strengths=StrengthConfig(u, v),
-        seed=config.seed,
-    )
+    return Scenario(tuple(spaces), alignment, ref, translators, priors, StrengthConfig(u, v),
+                    config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,11 @@ def test_drawn_key_without_a_row_is_named():
     assert reach.tolist() == [[True, True, True], [False, True, True]]
 
 
+def test_kernel_without_rows_is_tabulated():
+    sample = _sampler(StochasticKernel(0, 1, {}))
+    assert callable(sample)
+
+
 def test_route_without_a_row_raises_as_the_oracle():
     # language 1's reference has no row for a prompt that prompt 1 of
     # language 0 translates to with positive mass
@@ -137,15 +142,17 @@ _SHORT_ROW = (0.18604651162790695, 0.441860465116279, 0.3720930232558139, 0.0)
 def _one_prompt_world(back_probs):
     """Language 0 routes prompt 0 through language 1's prompt 10, whose
     reference answers 11 for sure; translating 11 back draws from
-    ``back_probs`` over candidates (1, 2, 3, 4)."""
+    ``back_probs`` over the first of candidates (1, 2, 3, 4).  Translating
+    12 back, which no draw reaches, spans all four, so a shorter row of 11
+    is padded in the sampler's table."""
     spaces = (LanguageSpace(0, (0,), {0: (1, 2, 3, 4)}),
               LanguageSpace(1, (10,), {10: (11, 12, 13, 14)}))
     alignment = Alignment(((0, 10),), tuple([tuple((c, c + 10) for c in (1, 2, 3, 4))]))
-    back = LogDist.from_probs((1, 2, 3, 4), back_probs)
+    back = LogDist.from_probs((1, 2, 3, 4)[: len(back_probs)], back_probs)
     ref = {0: StochasticKernel(0, 0, {0: LogDist.uniform((1, 2, 3, 4))}),
            1: StochasticKernel(1, 1, {10: LogDist.point_mass((11, 12, 13, 14), 11)})}
     translators = {(0, 1): StochasticKernel(0, 1, {0: LogDist.point_mass((10,), 10)}),
-                   (1, 0): StochasticKernel(1, 0, {11: back})}
+                   (1, 0): StochasticKernel(1, 0, {11: back, 12: LogDist.uniform((1, 2, 3, 4))})}
     priors = {0: LogDist.point_mass((0,), 0), 1: LogDist.point_mass((10,), 10)}
     return Scenario(spaces, alignment, ref, translators, priors, StrengthConfig.ones(2), 0)
 
@@ -164,6 +171,14 @@ class _FixedUniforms:
     (_SHORT_ROW, float(np.nextafter(np.cumsum(_SHORT_ROW)[-1], 1.0)), 3),
     # a zero draw: the first entry with mass, not the zero-mass one before it
     ((0.0, 0.5, 0.5, 0.0), 0.0, 2),
+    # a draw equal to a cumulative value (0.25 + 0.25 is exact): the entry
+    # that value closes, as the strict `cum < u` counts it, not the one after
+    ((0.25, 0.25, 0.5, 0.0), 0.5, 2),
+    # the back row is shorter than the kernel's other row: its pad repeats
+    # the last entry's ID and flag, so a zero-mass last entry stays
+    # unreached and a positive one stays reached
+    ((0.5, 0.5, 0.0), 0.9, 2),
+    ((0.0, 0.5, 0.5), float(np.nextafter(1.0, 0.0)), 3),
 ])
 def test_draws_stay_on_positive_mass(monkeypatch, back_probs, u, lands_on):
     assert u < 1.0  # a value Generator.random can return
@@ -171,3 +186,4 @@ def test_draws_stay_on_positive_mass(monkeypatch, back_probs, u, lands_on):
     target = round_trip_target(_one_prompt_world(back_probs), 0, 1, 0, MonteCarloConfig(5))
     assert target.argmax() == lands_on
     assert target.prob(lands_on) > 0.99
+    assert target.support == tuple(c for c, p in zip((1, 2, 3, 4), back_probs) if p > 0)

@@ -128,6 +128,34 @@ class TestCheckConsistency:
             check_pairs({0: s.ref[0]}, s.translators, pairs, DivergenceSpec(), 1e-9,
                         DEFAULT_T_GRID)
 
+    @pytest.mark.parametrize("lost, named", [
+        # route order is (1, 2), (2, 1), (0, 1), (1, 0): the first lost pair
+        # in it is named, not the smallest
+        ({(0, 1), (2, 1)}, "2->1"),
+        ({(1, 0)}, "1->0"),
+        ({(0, 1), (1, 0), (1, 2), (2, 1)}, "1->2"),
+    ])
+    def test_missing_translator_is_named(self, lost, named):
+        s = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=3))
+        translators = {pair: k for pair, k in s.translators.items() if pair not in lost}
+        pairs = [((1, 2), (s.space(1).prompts[0], s.space(2).prompts[0])),
+                 ((0, 1), (s.space(0).prompts[0], s.space(1).prompts[0]))]
+        with pytest.raises(StructuralError, match=f"^no translator {named}$"):
+            check_pairs(s.ref, translators, pairs, DivergenceSpec(), 1e-9, DEFAULT_T_GRID)
+
+    def test_missing_translator_raises_before_any_round_trip(self):
+        # the first route's trip would fail on a missing row; the missing
+        # translator of a later route is still what is named
+        s = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=3))
+        x0 = s.space(0).prompts[0]
+        pi = {**s.ref, 1: StochasticKernel(1, 1, {})}
+        translators = {pair: k for pair, k in s.translators.items() if pair != (2, 0)}
+        pairs = [((0, 1), (x0, s.space(1).prompts[0])), ((0, 2), (x0, s.space(2).prompts[0]))]
+        with pytest.raises(StructuralError, match="^no translator 2->0$"):
+            check_pairs(pi, translators, pairs, DivergenceSpec(), 1e-9, DEFAULT_T_GRID)
+        with pytest.raises(StructuralError, match="has no row"):
+            check_pairs(pi, s.translators, pairs, DivergenceSpec(), 1e-9, DEFAULT_T_GRID)
+
     def test_divergence_invariant_under_consistent_relabeling(self):
         a = tiny_bilingual([0.85, 0.15], [0.3, 0.7])
         rep_a = check_consistency(

@@ -3,9 +3,10 @@
 ``core.f_divergence_rows``) and the grouped reduction of
 ``core.pushforward`` rely on to give the same bits as one-row arithmetic,
 and that the Monte-Carlo sampler (``objectives._sampler``) relies on to pick
-what ``searchsorted`` on each row picked, and that the stacked fitters
-(``optim.fit_dco`` and ``optim.fit_pco_reinforce``) rely on to draw the
-same stream and give the bits of the per-row loops.
+what ``searchsorted`` on each row picked and to build its targets from one
+table, and that the stacked fitters (``optim.fit_dco`` and
+``optim.fit_pco_reinforce``) rely on to draw the same stream and give the
+bits of the per-row loops.
 
 If a numpy upgrade breaks one, this names the premise; otherwise the
 breakage would show only as a fingerprint or oracle mismatch.
@@ -124,6 +125,32 @@ def test_row_cumsum_is_the_one_row_cumsum_added_in_order():
             for x in row:
                 total += x
             assert total == last, k
+
+
+def test_zero_padded_row_cumsum_is_each_real_row_cumsum():
+    # the sampler's table: rows of mixed real length, zero-padded to W, are
+    # summed along axis 1 in one call; each real prefix must keep the bits
+    # of its own row's cumsum
+    rng = np.random.default_rng(8)
+    for width in range(1, 41):
+        lengths = rng.integers(1, width + 1, size=30)
+        lengths[:2] = 1, width
+        rows = [np.exp(_rows(1, k, seed=100 * width + j)[0]) for j, k in enumerate(lengths)]
+        padded = np.zeros((len(rows), width))
+        for r, row in zip(padded, rows):
+            r[: len(row)] = row
+        cum = np.cumsum(padded, axis=1)
+        for c, row in zip(cum, rows):
+            assert c[: len(row)].tobytes() == np.cumsum(row).tobytes(), width
+
+
+def test_elementwise_log_equals_one_row_log():
+    # Monte-Carlo targets take the log of a whole (prompts, responses) table
+    # of frequencies and read one row of it per prompt
+    for n, k in ((1, 1), (3, 7), (6, 36), (40, 17), (9, 257)):
+        a = np.random.default_rng(n * k).integers(0, 50, size=(n, k)) / 4096
+        with np.errstate(divide="ignore"):
+            assert np.log(a).tobytes() == np.concatenate([np.log(r) for r in a]).tobytes()
 
 
 def test_counting_at_or_below_is_searchsorted_right():

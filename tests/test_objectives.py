@@ -102,6 +102,22 @@ class TestRoundTripTarget:
         with pytest.raises(ValueError):
             MonteCarloConfig(samples=0)
 
+    @pytest.mark.parametrize("samples", [True, 2.5, math.nan, "64", None])
+    def test_sample_budget_must_be_an_integer(self, samples):
+        with pytest.raises(ValueError, match="^samples must be an integer >= 1"):
+            MonteCarloConfig(samples)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, math.nan, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            MonteCarloConfig(64, seed)
+
+    def test_numpy_integers_are_integers(self):
+        s = generate(GeneratorConfig(n_langs=2, n_prompts=2, n_candidates=3,
+                                     translator_mode="noisy", noise=0.3, seed=1))
+        got = round_trip_target(s, 0, 1, 0, MonteCarloConfig(np.int64(64), np.int32(3)))
+        assert got == round_trip_target(s, 0, 1, 0, MonteCarloConfig(64, 3))
+
 
 class TestPcoObjective:
     def test_at_reference_fidelity_vanishes(self):
