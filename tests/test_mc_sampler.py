@@ -113,8 +113,10 @@ def test_drawn_key_without_a_row_is_named():
 
 
 def test_kernel_without_rows_is_tabulated():
-    sample = _sampler(StochasticKernel(0, 1, {}))
-    assert callable(sample)
+    responses, index, reach = _sampler(StochasticKernel(0, 1, {}))(
+        np.array([], dtype=int), np.array([], dtype=int), np.array([]), np.zeros((1, 0), bool))
+    assert responses.size == index.size == 0
+    assert reach.shape == (1, 0)
 
 
 def test_route_without_a_row_raises_as_the_oracle():
@@ -142,9 +144,9 @@ _SHORT_ROW = (0.18604651162790695, 0.441860465116279, 0.3720930232558139, 0.0)
 def _one_prompt_world(back_probs):
     """Language 0 routes prompt 0 through language 1's prompt 10, whose
     reference answers 11 for sure; translating 11 back draws from
-    ``back_probs`` over the first of candidates (1, 2, 3, 4).  Translating
-    12 back, which no draw reaches, spans all four, so a shorter row of 11
-    is padded in the sampler's table."""
+    ``back_probs`` over as many of candidates (1, 2, 3, 4).  Translating 12
+    back, which no draw reaches, spans all four, so a shorter row of 11 is
+    padded in the sampler's table."""
     spaces = (LanguageSpace(0, (0,), {0: (1, 2, 3, 4)}),
               LanguageSpace(1, (10,), {10: (11, 12, 13, 14)}))
     alignment = Alignment(((0, 10),), tuple([tuple((c, c + 10) for c in (1, 2, 3, 4))]))
