@@ -5,8 +5,8 @@ two can never drift apart.
 The golden pipeline (``golden_pipeline.py``) runs one bijective world in
 which every round trip has a single term and every row four entries, so a
 change in summation order, ``log`` or ``exp`` cannot show there.  This
-family covers what it misses: two and three languages, bijective and
-noisy translators, C in {6, 10, 17} candidates (crossing numpy's 8-term
+family covers what it misses: two, three and four languages, bijective
+and noisy translators, C in {6, 10, 17} candidates (crossing numpy's 8-term
 pairwise-summation threshold), and exact and Monte-Carlo round trips.
 
 Each quantity is recorded as the SHA-256 of its exact bytes (``tobytes()``
@@ -56,7 +56,7 @@ def world_configs() -> dict[str, GeneratorConfig]:
     Dirichlet priors, so each route carries its own weight."""
     out = {}
     seed = 0
-    for n_langs in (2, 3):
+    for n_langs in (2, 3, 4):
         for mode in ("bijective", "noisy"):
             for cands in (6, 10, 17):
                 seed += 1
@@ -65,8 +65,8 @@ def world_configs() -> dict[str, GeneratorConfig]:
                     n_langs=n_langs, n_prompts=2, n_candidates=cands,
                     translator_mode=mode, noise=0.3 if noisy else 0.0,
                     ref_sharpness=0.5,
-                    u=(1.0, 2.5, 0.4)[:n_langs] if noisy else None,
-                    v=(1.0, 0.7, 3.0)[:n_langs] if noisy else None,
+                    u=(1.0, 2.5, 0.4, 1.6)[:n_langs] if noisy else None,
+                    v=(1.0, 0.7, 3.0, 0.5)[:n_langs] if noisy else None,
                     prior_mode="dirichlet" if noisy else "uniform",
                     seed=seed,
                 )
