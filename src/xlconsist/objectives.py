@@ -6,6 +6,11 @@ each other language, summed under the prompt priors.  ``round_trip_targets``
 builds those targets once, exact or Monte-Carlo; the optimum carries the
 map, and every other consumer takes it as an argument.
 
+A policy row must have its reference row's support, as the optimum, its
+perturbations, the reference and fitted or loaded policies do.  One helper
+reads the targets at that support for the objective and the tilt alike; a
+zero there at positive policy mass makes the objective infinite.
+
 One tilt, computed in log space, serves both routes to the optimum: the
 reference row's log-weights plus each other language's log round-trip
 target times the pairwise strength.  Normalized per prompt, it is the
@@ -163,10 +168,11 @@ def _sampler(kernel: StochasticKernel) -> Callable:
     pick = np.take_along_axis(index, np.clip(np.arange(width + 1), lo, hi), axis=1).ravel()
 
     def sample(ids: np.ndarray, keys: np.ndarray, u: np.ndarray, reach: np.ndarray):
-        at = np.minimum(np.searchsorted(row_ids, ids), len(row_ids) - 1)
-        absent = (row_ids[at] != ids) & reach.any(axis=0)
+        at = np.searchsorted(row_ids, ids)
+        absent = (np.searchsorted(row_ids, ids, side="right") == at) & reach.any(axis=0)
         if absent.any():
             kernel.row(int(ids[absent].min()))  # raises, naming the ID
+        at = np.minimum(at, len(row_ids) - 1)
         drawn = at[keys]
         picked = drawn * (width + 1)
         for col in cum:
@@ -241,12 +247,6 @@ def round_trip_targets(
 # objective
 
 
-def _logp_at(d: LogDist, ids: Sequence[int]) -> np.ndarray:
-    """``d.logp`` at each of ``ids``, ``-inf`` where ``d`` has no entry."""
-    at = dict(zip(d.support, d.logp.tolist()))
-    return np.array([at.get(i, -math.inf) for i in ids])
-
-
 def _floor_zeros(logp: np.ndarray) -> np.ndarray:
     """A copy with only the zero-mass (``-inf``) entries lifted to ``LOG_EPS``."""
     return np.where(logp == -math.inf, LOG_EPS, logp)
@@ -261,13 +261,15 @@ def _routes(scenario: Scenario, lang: int) -> list[int]:
     return [n for n in scenario.lang_ids if n != lang]
 
 
-def _expectation_terms(theta_row: LogDist, logp_other: np.ndarray) -> float:
-    """Sum of theta * logp_other with the 0*log convention; +-inf propagated."""
-    mask = theta_row.probs > 0
-    vals = logp_other[mask]
-    if np.any(vals == -math.inf):
-        return -math.inf
-    return float(np.sum(theta_row.probs[mask] * vals))
+def _aligned(scenario: Scenario, lang: int, prompt: int,
+             targets: Mapping[tuple[int, int, int], LogDist]) -> tuple[LogDist, np.ndarray]:
+    """The reference row, and each route's log target at its support (``-inf``
+    where the target has no entry), one row per route in route order."""
+    ref_row = scenario.ref[lang].row(prompt)
+    found = [dict(zip(t.support, t.logp.tolist()))
+             for t in (targets[(lang, via, prompt)] for via in _routes(scenario, lang))]
+    rows = [[at.get(i, -math.inf) for i in ref_row.support] for at in found]
+    return ref_row, np.array(rows).reshape(len(rows), len(ref_row.support))
 
 
 def n_language_objective(
@@ -279,25 +281,22 @@ def n_language_objective(
 ) -> PcoValue:
     """One prompt's penalized value: KL to the reference minus one
     strength-weighted expected log round-trip likelihood per other
-    language, all under the candidate policy."""
+    language, under a policy row on the reference row's support."""
     _check_prompt(scenario, prompt, lang)
     t_row = theta.row(prompt)
-    ref_row = scenario.ref[lang].row(prompt)
-    log_ref = _logp_at(ref_row, t_row.support)
-    fid = _expectation_terms(t_row, log_ref)
+    ref_row, log_t = _aligned(scenario, lang, prompt, targets)
+    if t_row.support != ref_row.support:
+        raise StructuralError(f"language {lang}'s policy row {prompt} is off the reference support")
     mask = t_row.probs > 0
-    fidelity = math.inf if fid == -math.inf else max(
-        0.0, float(np.sum(t_row.probs[mask] * t_row.logp[mask])) - fid
-    )
+    probs = t_row.probs[mask]
+    fidelity = max(0.0, float(np.sum(probs * t_row.logp[mask]))
+                   - float(np.sum(probs * ref_row.logp[mask])))
+    # a contiguous copy, so each row sums as its own 1-D sum would
+    expected = (probs * np.ascontiguousarray(log_t[:, mask])).sum(axis=1).tolist()
     reward = 0.0
-    for via in _routes(scenario, lang):
-        e = _expectation_terms(t_row, _logp_at(targets[(lang, via, prompt)], t_row.support))
-        if e == -math.inf:
-            reward = -math.inf
-            break
+    for via, e in zip(_routes(scenario, lang), expected):
         reward += scenario.beta(lang, via) * e
-    total = math.inf if (fidelity == math.inf or reward == -math.inf) else fidelity - reward
-    return PcoValue(fidelity=fidelity, reward_term=reward, total=total)
+    return PcoValue(fidelity=fidelity, reward_term=reward, total=fidelity - reward)
 
 
 def n_language_total(
@@ -344,10 +343,9 @@ def _tilt(scenario: Scenario, lang: int, prompt: int,
     """The reference row's log-weights plus ``weight(lang, via)`` times each
     route's log target, zeros floored, added in route order; the entries the
     optimum keeps at ``-inf``; and whether a route needed the floor."""
-    ref_row = scenario.ref[lang].row(prompt)
+    ref_row, aligned = _aligned(scenario, lang, prompt, targets)
     tilt, zeros, floored = _floor_zeros(ref_row.logp), ref_row.logp == -math.inf, False
-    for via in _routes(scenario, lang):
-        log_t = _logp_at(targets[(lang, via, prompt)], ref_row.support)
+    for via, log_t in zip(_routes(scenario, lang), aligned):
         lost = log_t == -math.inf
         if (lost & (ref_row.probs > 0)).any():
             floored = True

@@ -5,13 +5,15 @@ with exactly two languages each language has one other language, one
 round-trip target and one strength, so the objective, its prior-weighted
 total, the regression targets and the optimum can be spelled out without
 any loop over routes.  The tests compare the N-language functions against
-these.
+these.  ``_logp_at`` and ``_expectation_terms`` are the dictionary alignment
+and the branching expectation the package used before it read policies on
+the reference support.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,11 +23,24 @@ from xlconsist.objectives import (
     MonteCarloConfig,
     PcoValue,
     _check_prompt,
-    _expectation_terms,
-    _logp_at,
     round_trip_target,
 )
 from xlconsist.scenario import Scenario
+
+
+def _logp_at(d: LogDist, ids: Sequence[int]) -> np.ndarray:
+    """``d.logp`` at each of ``ids``, ``-inf`` where ``d`` has no entry."""
+    at = dict(zip(d.support, d.logp.tolist()))
+    return np.array([at.get(i, -math.inf) for i in ids])
+
+
+def _expectation_terms(theta_row: LogDist, logp_other: np.ndarray) -> float:
+    """Sum of theta * logp_other with the 0*log convention; +-inf propagated."""
+    mask = theta_row.probs > 0
+    vals = logp_other[mask]
+    if np.any(vals == -math.inf):
+        return -math.inf
+    return float(np.sum(theta_row.probs[mask] * vals))
 
 
 def _other_lang(scenario: Scenario, lang: int) -> int:

@@ -136,6 +136,23 @@ def test_route_without_a_row_raises_as_the_oracle():
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("emptied", ["out", "ref", "back"])
+def test_route_through_a_kernel_without_rows_raises_as_the_exact_path(emptied):
+    s = generate(GeneratorConfig(n_langs=2, n_prompts=3, n_candidates=3,
+                                 translator_mode="noisy", noise=0.3, seed=4))
+    if emptied == "ref":
+        s = dataclasses.replace(s, ref={**s.ref, 1: StochasticKernel(1, 1, {})})
+    else:
+        pair = (0, 1) if emptied == "out" else (1, 0)
+        s = dataclasses.replace(s, translators={**s.translators,
+                                                pair: StochasticKernel(*pair, {})})
+    with pytest.raises(StructuralError) as want:
+        round_trip_targets(s)
+    with pytest.raises(StructuralError, match="has no row for ID") as got:
+        round_trip_targets(s, MonteCarloConfig(16))
+    assert str(got.value) == str(want.value)
+
+
 # cumsum of these ends at 0.9999999999999998, so a uniform draw can land
 # above it; the trailing entry has no mass and reaches no candidate
 _SHORT_ROW = (0.18604651162790695, 0.441860465116279, 0.3720930232558139, 0.0)

@@ -6,7 +6,9 @@ and that the Monte-Carlo sampler (``objectives._sampler``) relies on to pick
 what ``searchsorted`` on each row picked and to build its targets from one
 table, and that the stacked fitters (``optim.fit_dco`` and
 ``optim.fit_pco_reinforce``) rely on to draw the same stream and give the
-bits of the per-row loops.
+bits of the per-row loops, and that the objective
+(``objectives.n_language_objective``) relies on to give each route's
+expectation the bits of its own 1-D sum.
 
 If a numpy upgrade breaks one, this names the premise; otherwise the
 breakage would show only as a fingerprint or oracle mismatch.
@@ -187,3 +189,25 @@ def test_sum_over_count_is_mean():
     for k in (5, 32, 64, 256):
         x = np.random.default_rng(k).normal(size=(9, k)) * 30.0
         assert (x.sum(axis=1) / k).tobytes() == np.array([r.mean() for r in x]).tobytes(), k
+
+
+def test_contiguous_column_selection_sums_as_each_row():
+    # the objective keeps the policy's positive-mass columns of its
+    # (routes, k) aligned targets and sums every route's row in one call;
+    # the boolean selection is not C-contiguous, and summing it as it is
+    # moves last bits, so it is copied first
+    rng = np.random.default_rng(9)
+    moved = 0
+    for k in range(1, 41):
+        for routes in range(1, 26):
+            a = _rows(routes, k + 3, seed=100 * k + routes)
+            mask = np.ones(k + 3, dtype=bool)
+            mask[rng.choice(k + 3, size=3, replace=False)] = False
+            w = rng.random(k)
+            want = np.array([np.sum(w * row[mask]) for row in a])
+            picked = a[:, mask]
+            assert picked.flags.c_contiguous == (routes == 1 or k == 1), (k, routes)
+            moved += (w * picked).sum(axis=1).tobytes() != want.tobytes()
+            got = (w * np.ascontiguousarray(picked)).sum(axis=1)
+            assert got.tobytes() == want.tobytes(), (k, routes)
+    assert moved

@@ -12,7 +12,7 @@ from bilingual_oracle import dco_log_targets, pco_objective, pco_total
 from conftest import tiny_bilingual, tiny_trilingual
 
 from xlconsist import objectives
-from xlconsist.core import LogDist, StructuralError, forward_kl, total_variation
+from xlconsist.core import LogDist, StochasticKernel, StructuralError, forward_kl, total_variation
 from xlconsist.objectives import (
     ClosedFormOptimum,
     LogitTable,
@@ -23,6 +23,7 @@ from xlconsist.objectives import (
     n_language_log_targets,
     n_language_objective,
     n_language_optimum,
+    n_language_total,
     policy_kernels,
     prior_weights,
     round_trip_target,
@@ -332,7 +333,6 @@ class TestNLanguage:
     def test_three_language_optimum_beats_perturbations(self):
         s3 = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=12))
         opt = n_language_optimum(s3)
-        from xlconsist.objectives import n_language_total
         best = n_language_total(opt.policy, s3, opt.targets)
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -346,6 +346,17 @@ class TestNLanguage:
                     rows[p] = LogDist.from_probs(row.support, mix / mix.sum())
                 perturbed[lang] = type(kern)(lang, lang, rows)
             assert n_language_total(perturbed, s3, opt.targets) > best
+
+    @pytest.mark.parametrize("support", [(101,), (101, 102, 103)])
+    def test_policy_row_off_the_reference_support_is_named(self, support):
+        s3 = tiny_trilingual([[0.8, 0.2], [0.4, 0.6], [0.5, 0.5]])
+        targets = round_trip_targets(s3)
+        theta = {**s3.ref, 1: StochasticKernel(1, 1, {100: LogDist.uniform(support)})}
+        named = "language 1's policy row 100 is off the reference support"
+        with pytest.raises(StructuralError, match=named):
+            n_language_objective(theta[1], s3, 100, 1, targets)
+        with pytest.raises(StructuralError, match=named):
+            n_language_total(theta, s3, targets)
 
     def test_n_language_targets_match_optimum(self):
         s3 = generate(GeneratorConfig(n_langs=3, n_prompts=2, n_candidates=3, seed=12))
