@@ -4,10 +4,12 @@
 For each language count N, one world is generated (4 prompts x 6
 candidates, bijective translators, seed 3) and four stages are timed:
 ``n_language_optimum``, ``evaluate_policy`` on that optimum, ``run_checks``
-and ``fit_dco`` to convergence.  One JSON line is printed per N with the
-wall time of each stage in seconds and a SHA-256 of every output bit the
-stages produce (policy rows, metrics, check results, the fitted scores and
-the trace without its timings).  A change that keeps the outputs keeps the
+and ``fit_dco`` to convergence; so is ``check_multi_language_minimality``
+on the optimum (``minimality_s``), the check ``run_checks`` spends most
+on.  One JSON line is printed per N with the wall time of each in seconds
+and a SHA-256 of every output bit the four stages produce (policy rows,
+metrics, check results, the fitted scores and the trace without its
+timings); the minimality result is among the check results.  A change that keeps the outputs keeps the
 hash.  The times are single wall-clock runs, so they are evidence only;
 performance claims stay on ``bench/run.py``.
 
@@ -28,7 +30,7 @@ sys.path[:0] = [str(ROOT / "src")]
 from xlconsist.metrics import evaluate_policy  # noqa: E402
 from xlconsist.objectives import n_language_optimum  # noqa: E402
 from xlconsist.optim import METHOD_DCO, OptimizerConfig, fit_dco  # noqa: E402
-from xlconsist.propositions import run_checks  # noqa: E402
+from xlconsist.propositions import check_multi_language_minimality, run_checks  # noqa: E402
 from xlconsist.scenario import GeneratorConfig, generate  # noqa: E402
 
 LANGS = (2, 4, 8, 16, 26)
@@ -61,6 +63,7 @@ def probe(n_langs: int) -> dict:
     for r in timed("run_checks", run_checks, s):
         put(r.check_id, r.status, r.detail,
             None if r.observed is None else float(r.observed).hex(), r.expected)
+    timed("minimality", check_multi_language_minimality, s, opt)
     table, trace = timed("fit_dco", fit_dco, s, OptimizerConfig(METHOD_DCO))
     for p in table.prompts():
         put(p, table.rows[p].tobytes())

@@ -44,6 +44,12 @@ class StructuralError(ValueError):
     """Mismatched supports, non-composable kernels, or missing rows."""
 
 
+def require_int(name: str, value, low: int) -> None:
+    """Refuse, naming ``name``, anything but an integer (not a boolean) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def logsumexp(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     m = float(np.max(a)) if a.size else -math.inf
@@ -270,6 +276,13 @@ class StochasticKernel:
             np.max(r.probs) == 1.0 and np.count_nonzero(r.probs) == 1
             for r in self.rows.values()
         )
+
+
+def require_kernels(pi: Mapping[int, StochasticKernel], langs: Iterable[int]) -> None:
+    """Refuse a policy without a kernel for each of ``langs``, naming the smallest missing."""
+    missing = sorted(set(langs) - set(pi))
+    if missing:
+        raise StructuralError(f"policy has no kernel for language {missing[0]}")
 
 
 class RowStack(NamedTuple):

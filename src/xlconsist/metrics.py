@@ -38,6 +38,7 @@ from xlconsist.core import (
     entropy,
     f_divergence_rows,
     raise_first,
+    require_kernels,
     round_trips,
 )
 from xlconsist.scenario import Scenario
@@ -166,12 +167,6 @@ def _lockstep(sides: list, searches: list, spec: DivergenceSpec) -> list[tuple[f
     return results
 
 
-def _require_kernels(pi: Mapping[int, StochasticKernel], langs) -> None:
-    missing = sorted(set(langs) - set(pi))
-    if missing:
-        raise StructuralError(f"policy has no kernel for language {missing[0]}")
-
-
 def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
                 fixed_direct=None) -> list[ConsistencyReport]:
     """Consistency reports of ``(lang_pair, prompt_pair)`` items, in order,
@@ -184,7 +179,7 @@ def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,
     failing direction, taken in order, would."""
     if not pairs:
         return []
-    _require_kernels(pi, (m for lang_pair, _ in pairs for m in lang_pair))
+    require_kernels(pi, (m for lang_pair, _ in pairs for m in lang_pair))
     routes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j, ((m, n), (x_m, x_n)) in enumerate(pairs):  # directions 2j and 2j + 1
         routes.setdefault((m, n), []).append((2 * j, x_m))
@@ -474,7 +469,7 @@ def evaluate_policy(
     candidate of each aligned tuple); the changed fraction compares the
     policy against the scenario's reference model.
     """
-    _require_kernels(policy, scenario.lang_ids)
+    require_kernels(policy, scenario.lang_ids)
     acc, ent, chg = {}, {}, {}
     for lang in scenario.lang_ids:
         gold = scenario.gold_map(lang)

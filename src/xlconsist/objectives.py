@@ -8,16 +8,16 @@ map, and every other consumer takes it as an argument.
 
 A policy row must have its reference row's support, as the optimum, its
 perturbations, the reference and fitted or loaded policies do.  One helper
-reads the targets at that support for the objective and the tilt alike; a
-zero there at positive policy mass makes the objective infinite.
+reads the targets there once per row, for the tilt and for the objective
+of a stack of rows; a zero at positive policy mass makes it infinite.
 
 One tilt, computed in log space, serves both routes to the optimum: the
 reference row's log-weights plus each other language's log round-trip
 target times the pairwise strength.  Normalized per prompt, it is the
-closed-form optimum; as it is, it holds the direct route's regression
-targets, whose softmax is therefore the optimum by construction (up to the
-floor below), so matching unnormalized scores to them (any norm) recovers
-it without estimating a normalizer.
+closed-form optimum, which keeps it as it is: the direct route's
+regression targets, whose softmax is therefore the optimum by construction
+(up to the floor below), so matching unnormalized scores to them (any
+norm) recovers it without estimating a normalizer.
 
 Zero masses would drive the tilt to minus infinity, so they are lifted to
 ``LOG_EPS``.  The optimum keeps the reference's zeros, and those of each
@@ -29,7 +29,7 @@ lives on in the tests as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +42,8 @@ from xlconsist.core import (
     StructuralError,
     logsumexp,
     raise_first,
+    require_int,
+    require_kernels,
     round_trips,
 )
 from xlconsist.scenario import Scenario
@@ -55,10 +57,8 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        require_int("samples", self.samples, 1)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,11 @@ def _aligned(scenario: Scenario, lang: int, prompt: int,
     """The reference row, and each route's log target at its support (``-inf``
     where the target has no entry), one row per route in route order."""
     ref_row = scenario.ref[lang].row(prompt)
-    found = [dict(zip(t.support, t.logp.tolist()))
-             for t in (targets[(lang, via, prompt)] for via in _routes(scenario, lang))]
+    keys = [(lang, via, prompt) for via in _routes(scenario, lang)]
+    missing = [key for key in keys if key not in targets]
+    if missing:
+        raise StructuralError(f"no round-trip target for (lang, via, prompt) {missing[0]}")
+    found = [dict(zip(targets[key].support, targets[key].logp.tolist())) for key in keys]
     rows = [[at.get(i, -math.inf) for i in ref_row.support] for at in found]
     return ref_row, np.array(rows).reshape(len(rows), len(ref_row.support))
 
@@ -284,19 +287,41 @@ def n_language_objective(
     language, under a policy row on the reference row's support."""
     _check_prompt(scenario, prompt, lang)
     t_row = theta.row(prompt)
-    ref_row, log_t = _aligned(scenario, lang, prompt, targets)
-    if t_row.support != ref_row.support:
+    if t_row.support != scenario.ref[lang].row(prompt).support:
         raise StructuralError(f"language {lang}'s policy row {prompt} is off the reference support")
-    mask = t_row.probs > 0
-    probs = t_row.probs[mask]
-    fidelity = max(0.0, float(np.sum(probs * t_row.logp[mask]))
-                   - float(np.sum(probs * ref_row.logp[mask])))
-    # a contiguous copy, so each row sums as its own 1-D sum would
-    expected = (probs * np.ascontiguousarray(log_t[:, mask])).sum(axis=1).tolist()
-    reward = 0.0
-    for via, e in zip(_routes(scenario, lang), expected):
+    values = objective_rows(t_row.probs[None], t_row.logp[None], scenario, prompt, lang, targets)
+    return PcoValue(*(float(v[0]) for v in values))
+
+
+def objective_rows(probs: np.ndarray, logp: np.ndarray, scenario: Scenario, prompt: int, lang: int,
+                   targets: Mapping[tuple[int, int, int], LogDist]) -> tuple[np.ndarray, ...]:
+    """Fidelity, reward term and total of each row of an (n, C) stack of
+    policy rows with logs ``logp``, on the reference row's support and with
+    the first row's zero-mass entries; the targets are aligned once for all.
+    Each row has the bits of :func:`n_language_objective` on it alone."""
+    ref_row, log_t = _aligned(scenario, lang, prompt, targets)
+    mask = probs[0] > 0
+    # contiguous copies, so each row sums as its own 1-D sum would
+    p, lp = (np.ascontiguousarray(a[:, mask]) for a in (probs, logp))
+    fidelity = (p * lp).sum(axis=1) - (p * ref_row.logp[mask]).sum(axis=1)
+    fidelity = np.where(fidelity > 0.0, fidelity, 0.0)  # max(0.0, x), NaN and -0.0 included
+    expected = (p[:, None, :] * np.ascontiguousarray(log_t[:, mask])).sum(axis=2)
+    reward = np.zeros(len(p))
+    for via, e in zip(_routes(scenario, lang), expected.T):
         reward += scenario.beta(lang, via) * e
-    return PcoValue(fidelity=fidelity, reward_term=reward, total=fidelity - reward)
+    return fidelity, reward, fidelity - reward
+
+
+def prior_weighted_sum(scenario: Scenario, value: Callable[[int, int], float | np.ndarray]):
+    """``value(lang, prompt)`` weighted by each language's prior, over the
+    prompts with positive mass, added one prompt at a time in order."""
+    total = 0.0
+    for lang in scenario.lang_ids:
+        prior = scenario.priors[lang]
+        for prompt, mass in zip(prior.support, prior.probs):
+            if mass > 0.0:
+                total += mass * value(lang, prompt)
+    return total
 
 
 def n_language_total(
@@ -305,14 +330,9 @@ def n_language_total(
     targets: Mapping[tuple[int, int, int], LogDist],
 ) -> float:
     """The full prior-weighted objective over every language."""
-    total = 0.0
-    for lang in scenario.lang_ids:
-        prior = scenario.priors[lang]
-        for prompt, mass in zip(prior.support, prior.probs):
-            if mass > 0.0:
-                total += mass * n_language_objective(
-                    theta_by_lang[lang], scenario, prompt, lang, targets).total
-    return total
+    require_kernels(theta_by_lang, scenario.lang_ids)
+    return prior_weighted_sum(scenario, lambda lang, prompt: n_language_objective(
+        theta_by_lang[lang], scenario, prompt, lang, targets).total)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +345,23 @@ class ClosedFormOptimum:
 
     ``floored`` lists (lang, prompt) rows where a zero-mass round-trip
     target had to be lifted to the floor before tilting; ``targets`` is the
-    round-trip target map the reference was tilted by.
+    round-trip target map the reference was tilted by; ``tilt`` is each
+    prompt's tilt before normalization, every zero floored (see :meth:`table`).
     """
 
     policy: Mapping[int, StochasticKernel]
     log_normalizers: Mapping[int, float]
     floored: tuple[tuple[int, int], ...]
     targets: Mapping[tuple[int, int, int], LogDist]
+    tilt: Mapping[int, np.ndarray] = field(compare=False)
 
     def row(self, scenario_lang: int, prompt: int) -> LogDist:
         return self.policy[scenario_lang].row(prompt)
+
+    def table(self) -> LogitTable:
+        """The tilt as the direct route's regression targets."""
+        return LogitTable({p: row.support for kernel in self.policy.values()
+                           for p, row in kernel.rows.items()}, self.tilt)
 
 
 def _tilt(scenario: Scenario, lang: int, prompt: int,
@@ -362,18 +389,18 @@ def tilted_optimum(
 ) -> ClosedFormOptimum:
     """Each reference row tilted by every other language's round-trip
     target raised to ``weight(lang, via)``, normalized per prompt."""
-    policy, log_norm, floored = {}, {}, []
+    policy, log_norm, floored, tilts = {}, {}, [], {}
     for lang in scenario.lang_ids:
         rows = {}
         for prompt in scenario.space(lang).prompts:
-            unnorm, zeros, used = _tilt(scenario, lang, prompt, targets, weight)
-            unnorm[zeros] = -math.inf
+            tilts[prompt], zeros, used = _tilt(scenario, lang, prompt, targets, weight)
+            unnorm = np.where(zeros, -math.inf, tilts[prompt])
             rows[prompt] = LogDist.from_logp(scenario.ref[lang].row(prompt).support, unnorm)
             log_norm[prompt] = logsumexp(unnorm)
             if used:
                 floored.append((lang, prompt))
         policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
-    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets)
+    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets, tilts)
 
 
 def n_language_optimum(
@@ -397,33 +424,7 @@ def closed_form_optimum(
 
 
 # ---------------------------------------------------------------------------
-# regression targets
-
-
-def n_language_log_targets(
-    scenario: Scenario,
-    prompt: int,
-    lang: int,
-    targets: Mapping[tuple[int, int, int], LogDist],
-) -> np.ndarray:
-    """Per-candidate regression targets: log reference plus, for every other
-    language, the strength times the log round-trip target, with zero
-    masses floored, aligned with the reference row's support order: the tilt
-    that :func:`tilted_optimum` normalizes."""
-    _check_prompt(scenario, prompt, lang)
-    return _tilt(scenario, lang, prompt, targets, scenario.beta)[0]
-
-
-def target_table(
-    scenario: Scenario, targets: Mapping[tuple[int, int, int], LogDist]
-) -> LogitTable:
-    """Regression targets for every prompt of every language."""
-    supports, rows = {}, {}
-    for lang in scenario.lang_ids:
-        for prompt in scenario.space(lang).prompts:
-            supports[prompt] = scenario.ref[lang].row(prompt).support
-            rows[prompt] = n_language_log_targets(scenario, prompt, lang, targets)
-    return LogitTable(supports, rows)
+# regression loss
 
 
 def dco_loss(

@@ -40,8 +40,6 @@ from xlconsist.objectives import (
     n_language_optimum,
     policy_kernels,
     prior_weights,
-    round_trip_targets,
-    target_table,
 )
 from xlconsist.scenario import Scenario
 
@@ -110,14 +108,13 @@ def _start(scenario: Scenario):
     ascending ID, per length the stacked reference scores, regression targets
     and closed-form probabilities, then the prior weights and the supports."""
     optimum = n_language_optimum(scenario)
-    opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
+    opt_probs = {p: row.probs for kern in optimum.policy.values() for p, row in kern.rows.items()}
     init = initial_logits(scenario)
-    targets = target_table(scenario, optimum.targets)
     order = init.prompts()
     lengths = sorted({len(init.supports[p]) for p in order})
     groups = [[p for p in order if len(init.supports[p]) == c] for c in lengths]
     z, t, o = ([np.array([rows[p] for p in g]) for g in groups]
-               for rows in (init.rows, targets.rows, {p: r.probs for p, r in opt_rows.items()}))
+               for rows in (init.rows, optimum.table().rows, opt_probs))
     return groups, z, t, o, prior_weights(scenario), init.supports
 
 
@@ -358,7 +355,7 @@ def gradient_check(
     set-valued there); if every coordinate sits near a kink the check is
     inconclusive rather than falsely reassuring.
     """
-    targets = target_table(scenario, round_trip_targets(scenario))
+    targets = n_language_optimum(scenario).table()
     weights = prior_weights(scenario)
 
     def loss_of(table: LogitTable) -> float:

@@ -22,13 +22,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from xlconsist.core import (
-    DIVERGENCE_KINDS,
-    DivergenceSpec,
-    LogDist,
-    StochasticKernel,
-    is_invertible_pair,
-)
+from xlconsist.core import DIVERGENCE_KINDS, DivergenceSpec, is_invertible_pair, require_int
 from xlconsist.metrics import DEFAULT_T_GRID, check_pairs
 from xlconsist.objectives import (
     ClosedFormOptimum,
@@ -37,7 +31,8 @@ from xlconsist.objectives import (
     dco_loss,
     n_language_optimum,
     n_language_total,
-    target_table,
+    objective_rows,
+    prior_weighted_sum,
     tilted_optimum,
 )
 from xlconsist.scenario import GeneratorConfig, Scenario, cocycle_violations, generate
@@ -56,22 +51,6 @@ class CheckResult:
 
 
 _MIN_TV = 1e-3
-
-
-def _perturbed_rows(kernel: StochasticKernel, rng: np.random.Generator) -> StochasticKernel:
-    """Tilt every row toward a random distribution by at least ``_MIN_TV``."""
-    rows = {}
-    for p, row in kernel.rows.items():
-        while True:
-            q = rng.random(len(row.support)) + 1e-6
-            q /= q.sum()
-            base_tv = 0.5 * float(np.abs(row.probs - q).sum())
-            if base_tv >= 10 * _MIN_TV:
-                break
-        lam = min(1.0, (2.0 * _MIN_TV) / base_tv)
-        mix = (1.0 - lam) * row.probs + lam * q
-        rows[p] = LogDist.from_probs(row.support, mix / mix.sum())
-    return StochasticKernel(kernel.domain, kernel.codomain, rows)
 
 
 def _translators_invertible(s: Scenario) -> bool:
@@ -94,16 +73,33 @@ def _minimality(
     n_perturbations: int = 100,
     seed: int = 0,
 ) -> CheckResult:
+    """Tilt every row toward a random distribution by at least ``_MIN_TV``, all
+    perturbations first; score each row's as one stack, margins in drawing order."""
+    require_int("n_perturbations", n_perturbations, 1)
+    require_int("seed", seed, 0)
     best = n_language_total(optimum.policy, s, optimum.targets)
     if not math.isfinite(best):  # every margin would be inf - inf = nan
         return CheckResult(check_id, "fail", f"objective at the optimum is {best}, so no margin "
                            f"is defined; optimum.floored {optimum.floored}",
                            observed=float(best), expected="finite objective, margin > 0")
     rng = np.random.default_rng(seed)
+    rows = {(lang, p): row.probs for lang, k in optimum.policy.items() for p, row in k.rows.items()}
+    stacks = {key: np.empty((n_perturbations, len(probs))) for key, probs in rows.items()}
+    for i in range(n_perturbations):
+        for key, probs in rows.items():
+            while True:
+                q = rng.random(len(probs)) + 1e-6
+                q /= q.sum()
+                base_tv = 0.5 * float(np.abs(probs - q).sum())
+                if base_tv >= 10 * _MIN_TV:
+                    break
+            lam = min(1.0, (2.0 * _MIN_TV) / base_tv)
+            mix = (1.0 - lam) * probs + lam * q
+            stacks[key][i] = mix / mix.sum()
+    totals = prior_weighted_sum(s, lambda lang, p: objective_rows(
+        stacks[lang, p], np.log(stacks[lang, p]), s, p, lang, optimum.targets)[2])
     worst_margin = math.inf
-    for _ in range(n_perturbations):
-        perturbed = {lang: _perturbed_rows(k, rng) for lang, k in optimum.policy.items()}
-        margin = n_language_total(perturbed, s, optimum.targets) - best
+    for margin in (totals - best).tolist():
         worst_margin = min(worst_margin, margin)
         if margin <= 0:
             return CheckResult(check_id, "fail", "a perturbation matched or beat the optimum",
@@ -149,13 +145,10 @@ def check_logit_target_equivalence(s: Scenario, optimum=None) -> CheckResult:
     cid = "logit-target-equivalence"
     if optimum is None:
         optimum = n_language_optimum(s)
-    targets = target_table(s, optimum.targets)
-    worst = 0.0
-    for lang in s.lang_ids:
-        for p in s.space(lang).prompts:
-            gap = float(np.max(np.abs(
-                targets.policy_row(p).probs - optimum.row(lang, p).probs)))
-            worst = max(worst, gap)
+    # tilted again at the strengths, so a corrupted optimum drifts from it
+    targets = tilted_optimum(s, optimum.targets, s.beta).table()
+    worst = max([0.0, *(float(np.abs(targets.policy_row(p).probs - optimum.row(lang, p).probs).max())
+                        for lang in s.lang_ids for p in s.space(lang).prompts)])
     if worst > 1e-12:
         return CheckResult(cid, "fail", "normalized targets drift from the optimum",
                            observed=worst, expected="<= 1e-12")

@@ -123,8 +123,9 @@ def bilingual_optimum(
 ) -> ClosedFormOptimum:
     """Per prompt, the reference row tilted by the one round-trip target
     raised to that language's cross weight; a zero-mass target entry is
-    lifted to the floor and the row flagged."""
-    policy, log_norm, floored, targets = {}, {}, [], {}
+    lifted to the floor and the row flagged.  The tilt it carries is
+    ``dco_log_targets``' formula: every zero floored."""
+    policy, log_norm, floored, targets, tilt = {}, {}, [], {}, {}
     for lang in scenario.lang_ids:
         via = _other_lang(scenario, lang)
         beta = scenario.beta(lang, via)
@@ -134,6 +135,8 @@ def bilingual_optimum(
             target = round_trip_target(scenario, lang, via, prompt, mc=mc)
             targets[(lang, via, prompt)] = target
             log_t = _logp_at(target, ref_row.support)
+            tilt[prompt] = (beta * np.where(log_t == -math.inf, LOG_EPS, log_t)
+                            + np.where(ref_row.logp == -math.inf, LOG_EPS, ref_row.logp))
             if np.any((log_t == -math.inf) & (ref_row.probs > 0)):
                 log_t = np.where(log_t == -math.inf, LOG_EPS, log_t)
                 floored.append((lang, prompt))
@@ -141,4 +144,4 @@ def bilingual_optimum(
             rows[prompt] = LogDist.from_logp(ref_row.support, unnorm)
             log_norm[prompt] = logsumexp(unnorm)
         policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
-    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets)
+    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets, tilt)

@@ -31,7 +31,6 @@ from xlconsist.objectives import (
     n_language_optimum,
     n_language_total,
     round_trip_targets,
-    target_table,
 )
 from xlconsist.optim import (
     METHOD_DCO,
@@ -105,7 +104,7 @@ def _route_fingerprints(s: Scenario, mc: MonteCarloConfig | None) -> dict[str, s
     keys = sorted(targets)
     opt = n_language_optimum(s, mc=mc)
     rows = [(lang, p) for lang in s.lang_ids for p in s.space(lang).prompts]
-    table = target_table(s, targets)
+    table = opt.table()
     return {
         "targets.support": _text([list(targets[k].support) for k in keys]),
         "targets.probs": _arrays(targets[k].probs for k in keys),

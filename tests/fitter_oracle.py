@@ -22,7 +22,6 @@ from xlconsist.objectives import (
     n_language_optimum,
     policy_kernels,
     prior_weights,
-    target_table,
 )
 from xlconsist.optim import (
     _DIVERGENCE_PATIENCE,
@@ -51,7 +50,7 @@ def _start(scenario: Scenario):
     opt_rows = {p: row for kern in optimum.policy.values() for p, row in kern.rows.items()}
     init = initial_logits(scenario)
     z = {p: init.rows[p].copy() for p in init.prompts()}
-    return (target_table(scenario, optimum.targets), prior_weights(scenario), opt_rows, z,
+    return (optimum.table(), prior_weights(scenario), opt_rows, z,
             init.supports)
 
 

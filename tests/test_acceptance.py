@@ -37,8 +37,6 @@ from xlconsist.objectives import (
     n_language_optimum,
     policy_kernels,
     round_trip_target,
-    round_trip_targets,
-    target_table,
 )
 from xlconsist.optim import (
     METHOD_DCO,
@@ -256,7 +254,7 @@ def test_c07_gradient_check():
     """Analytic subgradients match central differences: 1e-4 away from the
     L1 kinks, 1e-6 everywhere for the smooth variant."""
     s = generate(BENCH)
-    targets = target_table(s, round_trip_targets(s))
+    targets = n_language_optimum(s).table()
     rng = np.random.default_rng(3)
     away = {p: targets.rows[p] + rng.uniform(0.2, 1.0, len(targets.rows[p]))
             * rng.choice([-1.0, 1.0], len(targets.rows[p]))

@@ -7,8 +7,9 @@ what ``searchsorted`` on each row picked and to build its targets from one
 table, and that the stacked fitters (``optim.fit_dco`` and
 ``optim.fit_pco_reinforce``) rely on to draw the same stream and give the
 bits of the per-row loops, and that the objective
-(``objectives.n_language_objective``) relies on to give each route's
-expectation the bits of its own 1-D sum.
+(``objectives.objective_rows``, one row for ``n_language_objective``, a
+stack of perturbations for the minimality check) relies on to give each
+row and route the bits of its own 1-D sum and ``max(0.0, x)``.
 
 If a numpy upgrade breaks one, this names the premise; otherwise the
 breakage would show only as a fingerprint or oracle mismatch.
@@ -211,3 +212,24 @@ def test_contiguous_column_selection_sums_as_each_row():
             got = (w * np.ascontiguousarray(picked)).sum(axis=1)
             assert got.tobytes() == want.tobytes(), (k, routes)
     assert moved
+
+
+def test_last_axis_sums_of_a_stack_equal_each_row_sum():
+    # the stacked objective sums a C-contiguous (perturbations, routes, k)
+    # product along its last axis in one call
+    for k in range(1, 41):
+        for routes in range(1, 26):
+            for n in (1, 4):
+                a = _rows(n * routes, k, seed=10000 * n + 100 * k + routes).reshape(n, routes, k)
+                want = np.array([[np.sum(row) for row in stack] for stack in a])
+                assert a.sum(axis=2).tobytes() == want.tobytes(), (k, routes, n)
+
+
+def test_positive_part_by_where_is_max_with_zero():
+    # the fidelity is clamped as the scalar objective's max(0.0, x) did,
+    # which np.maximum is not at -0.0 and NaN
+    xs = [-0.0, 0.0, np.nan, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, 1.5, -1.5]
+    a = np.array(xs)
+    want = np.array([max(0.0, x) for x in xs])
+    assert np.where(a > 0.0, a, 0.0).tobytes() == want.tobytes()
+    assert np.maximum(0.0, a).tobytes() != want.tobytes()

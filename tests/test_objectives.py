@@ -5,6 +5,7 @@ Frozen constants come from an independent high-precision oracle
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from xlconsist.objectives import (
     closed_form_optimum,
     dco_loss,
     initial_logits,
-    n_language_log_targets,
     n_language_objective,
     n_language_optimum,
     n_language_total,
@@ -28,7 +28,7 @@ from xlconsist.objectives import (
     prior_weights,
     round_trip_target,
     round_trip_targets,
-    target_table,
+    tilted_optimum,
 )
 from xlconsist.optim import (
     METHOD_DCO,
@@ -204,9 +204,7 @@ class TestClosedFormOptimum:
         assert 0.0 < t.prob(2) < 1e-12
         unnorm = world.ref[0].row(0).logp + t.logp
         assert opt.row(0, 0).logp.tobytes() == LogDist.from_logp((1, 2), unnorm).logp.tobytes()
-        targets = n_language_log_targets(world, prompt=0, lang=0,
-                                         targets=round_trip_targets(world))
-        assert targets.tobytes() == unnorm.tobytes()
+        assert opt.tilt[0].tobytes() == unnorm.tobytes()
 
     def test_requires_two_languages(self):
         s3 = tiny_trilingual([[0.8, 0.2], [0.4, 0.6], [0.5, 0.5]])
@@ -217,8 +215,7 @@ class TestClosedFormOptimum:
 class TestDcoTargets:
     def test_frozen_values(self):
         # oracle: log 0.32 and log 0.12
-        t = n_language_log_targets(WORLD, prompt=0, lang=0,
-                                   targets=round_trip_targets(WORLD))
+        t = n_language_optimum(WORLD).tilt[0]
         np.testing.assert_allclose(
             t, [-1.1394342831883648, -2.120263536200091], rtol=1e-12
         )
@@ -236,8 +233,7 @@ class TestDcoTargets:
         # the round trip reproduces the reference row itself, so the
         # targets are exactly twice its log-probabilities
         world = tiny_bilingual([0.8, 0.2], [0.8, 0.2])
-        t = n_language_log_targets(world, prompt=0, lang=0,
-                                   targets=round_trip_targets(world))
+        t = n_language_optimum(world).tilt[0]
         np.testing.assert_allclose(t, 2.0 * world.ref[0].row(0).logp, rtol=1e-12)
 
 
@@ -294,6 +290,23 @@ class TestDcoLoss:
 
 
 class TestNLanguage:
+    def test_total_names_a_language_without_a_kernel(self):
+        s3 = tiny_trilingual([[0.8, 0.2], [0.4, 0.6], [0.5, 0.5]])
+        with pytest.raises(StructuralError, match="^policy has no kernel for language 1$"):
+            n_language_total({0: s3.ref[0]}, s3, round_trip_targets(s3))
+
+    def test_missing_round_trip_target_is_named(self):
+        s3 = tiny_trilingual([[0.8, 0.2], [0.4, 0.6], [0.5, 0.5]])
+        targets = dict(round_trip_targets(s3))
+        del targets[(0, 1, 0)]
+        named = re.escape("no round-trip target for (lang, via, prompt) (0, 1, 0)")
+        with pytest.raises(StructuralError, match=named):
+            n_language_objective(s3.ref[0], s3, 0, 0, targets)
+        with pytest.raises(StructuralError, match=named):
+            n_language_total(dict(s3.ref), s3, targets)
+        with pytest.raises(StructuralError, match=named):
+            tilted_optimum(s3, targets, s3.beta)
+
     def test_bilingual_reduction_of_objective(self):
         s = generate(GeneratorConfig(n_langs=2, n_prompts=4, n_candidates=3, seed=6,
                                      u=(1.0, 2.0), v=(1.0, 0.5)))
@@ -363,7 +376,7 @@ class TestNLanguage:
         opt = n_language_optimum(s3)
         for lang in s3.lang_ids:
             for p in s3.space(lang).prompts:
-                t = n_language_log_targets(s3, p, lang, opt.targets)
+                t = opt.tilt[p]
                 row = LogDist.from_logp(s3.ref[lang].row(p).support, t)
                 np.testing.assert_allclose(row.probs, opt.row(lang, p).probs, atol=1e-12)
 
@@ -382,7 +395,7 @@ class TestScenarioLevelHelpers:
 
     def test_target_table_covers_all_prompts(self):
         s = generate(GeneratorConfig(n_langs=2, n_prompts=3, n_candidates=2, seed=1))
-        table = target_table(s, round_trip_targets(s))
+        table = n_language_optimum(s).table()
         expected = {p for lang in s.lang_ids for p in s.space(lang).prompts}
         assert set(table.prompts()) == expected
 
@@ -428,6 +441,22 @@ class TestTargetsBuiltOnce:
         distinct = {(lang, via, p) for lang in s.lang_ids for via in s.lang_ids
                     if via != lang for p in s.space(lang).prompts}
         assert sorted(calls) == sorted(distinct)
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    @pytest.mark.parametrize("operation", ["fit_dco", "fit_pco_reinforce"])
+    def test_fitters_tilt_each_row_once(self, monkeypatch, world, operation):
+        # the optimum carries its tilt, and the fitters regress onto it
+        s = generate(self.WORLDS[world])
+        rows = []
+        tilt = objectives._tilt
+
+        def counting(scenario, lang, prompt, *rest):
+            rows.append((lang, prompt))
+            return tilt(scenario, lang, prompt, *rest)
+
+        monkeypatch.setattr(objectives, "_tilt", counting)
+        self.OPERATIONS[operation](s)
+        assert sorted(rows) == [(lang, p) for lang in s.lang_ids for p in s.space(lang).prompts]
 
 
 # eval-sparse pool worlds (4 prompts x 6 candidates, sharpness 0.3) whose

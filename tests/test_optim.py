@@ -9,8 +9,6 @@ from xlconsist.objectives import (
     LogitTable,
     closed_form_optimum,
     n_language_optimum,
-    round_trip_targets,
-    target_table,
 )
 from xlconsist.optim import (
     METHOD_DCO,
@@ -193,7 +191,7 @@ class TestFitReinforce:
 class TestGradientCheck:
     def test_smooth_region_l1(self):
         s = generate(BENCH)
-        targets = target_table(s, round_trip_targets(s))
+        targets = n_language_optimum(s).table()
         rng = np.random.default_rng(0)
         rows = {p: targets.rows[p] + rng.uniform(0.2, 1.0, len(targets.rows[p]))
                 * rng.choice([-1.0, 1.0], len(targets.rows[p]))
@@ -205,7 +203,7 @@ class TestGradientCheck:
 
     def test_l2_everywhere(self):
         s = generate(BENCH)
-        targets = target_table(s, round_trip_targets(s))
+        targets = n_language_optimum(s).table()
         rng = np.random.default_rng(1)
         rows = {p: targets.rows[p] + rng.normal(0, 0.5, len(targets.rows[p]))
                 for p in targets.prompts()}
@@ -216,6 +214,6 @@ class TestGradientCheck:
 
     def test_at_targets_is_inconclusive(self):
         s = generate(BENCH)
-        res = gradient_check(s, target_table(s, round_trip_targets(s)), h=1e-5)
+        res = gradient_check(s, n_language_optimum(s).table(), h=1e-5)
         assert res.status == "inconclusive"
         assert res.max_rel_error is None

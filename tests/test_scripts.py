@@ -59,5 +59,5 @@ def test_scale_probe_prints_a_stable_hash(tmp_path):
     assert [r["sha256"] for r in first] == [r["sha256"] for r in second]
     for r in first:
         assert all(r[f"{stage}_s"] > 0 for stage in ("optimum", "evaluate", "run_checks",
-                                                        "fit_dco"))
+                                                        "minimality", "fit_dco"))
     assert list(tmp_path.iterdir()) == []

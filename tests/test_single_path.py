@@ -18,12 +18,10 @@ from xlconsist.core import LogDist, StochasticKernel
 from xlconsist.objectives import (
     MonteCarloConfig,
     closed_form_optimum,
-    n_language_log_targets,
     n_language_objective,
     n_language_optimum,
     n_language_total,
     round_trip_targets,
-    target_table,
 )
 from xlconsist.scenario import GeneratorConfig, generate
 
@@ -80,6 +78,9 @@ def _assert_same_optimum(a, b):
     assert a.log_normalizers.keys() == b.log_normalizers.keys()
     for p in a.log_normalizers:
         assert _bits(a.log_normalizers[p]) == _bits(b.log_normalizers[p])
+    assert a.tilt.keys() == b.tilt.keys()
+    for p in a.tilt:
+        assert _bits(a.tilt[p]) == _bits(b.tilt[p])
     assert a.policy.keys() == b.policy.keys()
     for lang, kern in a.policy.items():
         assert kern.rows.keys() == b.policy[lang].rows.keys()
@@ -89,16 +90,17 @@ def _assert_same_optimum(a, b):
 
 def _assert_same_path(s, mc):
     oracle_opt = bilingual_optimum(s, mc=mc)
-    _assert_same_optimum(oracle_opt, n_language_optimum(s, mc=mc))
+    optimum = n_language_optimum(s, mc=mc)
+    _assert_same_optimum(oracle_opt, optimum)
     _assert_same_optimum(oracle_opt, closed_form_optimum(s, mc=mc))
 
     targets = round_trip_targets(s, mc)
-    table = target_table(s, targets)
+    table = optimum.table()
     for lang in s.lang_ids:
         for p in s.space(lang).prompts:
             expected = _bits(dco_log_targets(s, p, lang, mc=mc))
             assert _bits(table.rows[p]) == expected
-            assert _bits(n_language_log_targets(s, p, lang, targets)) == expected
+            assert _bits(optimum.tilt[p]) == expected
 
     per_prompt = {(lang, p): t for (lang, _, p), t in targets.items()}
     rng = np.random.default_rng(s.seed)

@@ -2,10 +2,10 @@
 copies it replaced, kept in ``tilt_oracle``.
 
 ``tilted_optimum`` (at the strengths, and at the strengths plus one as
-``corrupt_exponent`` builds it), ``n_language_optimum``, ``target_table``
-and ``n_language_log_targets`` must give the oracle's bits: every row's
-``probs`` and ``logp``, every log-normalizer, the ``floored`` rows and
-every regression target.  The worlds span two to four languages,
+``corrupt_exponent`` builds it) and ``n_language_optimum`` must give the
+oracle's bits: every row's ``probs`` and ``logp``, every log-normalizer,
+the ``floored`` rows, and the tilt each optimum carries, which at the
+strengths is every regression target of ``table()``.  The worlds span two to four languages,
 bijective and noisy translators, reference rows sharp enough to hold exact
 zeros, and exact and Monte-Carlo targets.
 """
@@ -21,10 +21,8 @@ from conftest import tiny_bilingual
 from xlconsist.core import LOG_EPS, LogDist, StochasticKernel
 from xlconsist.objectives import (
     MonteCarloConfig,
-    n_language_log_targets,
     n_language_optimum,
     round_trip_targets,
-    target_table,
     tilted_optimum,
 )
 from xlconsist.propositions import corrupt_exponent
@@ -61,6 +59,9 @@ def _assert_same_optimum(got, expected):
     assert got.log_normalizers.keys() == expected.log_normalizers.keys()
     for p, log_z in expected.log_normalizers.items():
         assert _hex(got.log_normalizers[p]) == _hex(log_z)
+    assert got.tilt.keys() == expected.tilt.keys()
+    for p, tilt in expected.tilt.items():
+        assert got.tilt[p].tobytes() == tilt.tobytes()
     assert got.policy.keys() == expected.policy.keys()
     for lang, kern in expected.policy.items():
         assert got.policy[lang].rows.keys() == kern.rows.keys()
@@ -80,12 +81,12 @@ def _assert_same_tilt(s, targets):
     optimum = tilted_optimum(s, targets, s.beta)
     _assert_same_optimum(corrupt_exponent(s, optimum),
                          tilt_oracle.tilted_optimum(s, targets, shifted))
-    table = target_table(s, targets)
+    table = optimum.table()
     for lang in s.lang_ids:
         for p in s.space(lang).prompts:
             expected = tilt_oracle.n_language_log_targets(s, p, lang, targets).tobytes()
             assert table.rows[p].tobytes() == expected
-            assert n_language_log_targets(s, p, lang, targets).tobytes() == expected
+            assert table.supports[p] == s.ref[lang].row(p).support
 
 
 @pytest.mark.parametrize("mc", [None, MonteCarloConfig(256, seed=3)], ids=["exact", "mc"])
@@ -127,4 +128,5 @@ def test_reference_mass_below_underflow_keeps_the_target_zero():
     opt = n_language_optimum(world)
     assert opt.floored == ()
     assert opt.row(0, 0).logp.tolist() == [0.0, -math.inf]
-    assert target_table(world, targets).rows[0].tolist() == [0.0, -800.0 + LOG_EPS]
+    assert opt.tilt[0].tolist() == [0.0, -800.0 + LOG_EPS]
+    assert opt.table().rows[0].tolist() == [0.0, -800.0 + LOG_EPS]

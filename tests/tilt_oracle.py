@@ -5,7 +5,8 @@ oracle for the shared one.
 ``objectives`` namesakes: the reference row plus each route's weighted log
 target, floored only for a route whose zero meets positive reference mass,
 then normalized.  ``n_language_log_targets`` is the former body of the
-regression targets: every zero floored, reference and routes alike.
+regression targets: every zero floored, reference and routes alike, here
+at any weight, so it also gives the tilt each optimum carries.
 ``_logp_at`` is the former dictionary alignment both used.
 ``tests/test_tilt.py`` asserts that ``objectives`` gives the same bits.
 """
@@ -61,10 +62,11 @@ def tilted_optimum(
     targets: Mapping[tuple[int, int, int], LogDist],
     weight: Callable[[int, int], float],
 ) -> ClosedFormOptimum:
-    policy, log_norm, floored = {}, {}, []
+    policy, log_norm, floored, tilt = {}, {}, [], {}
     for lang in scenario.lang_ids:
         rows = {}
         for prompt in scenario.space(lang).prompts:
+            tilt[prompt] = n_language_log_targets(scenario, prompt, lang, targets, weight)
             tilts = [(weight(lang, via), targets[(lang, via, prompt)])
                      for via in _routes(scenario, lang)]
             row, log_z, used = _tilted_row(scenario.ref[lang].row(prompt), tilts)
@@ -73,7 +75,7 @@ def tilted_optimum(
             if used:
                 floored.append((lang, prompt))
         policy[lang] = StochasticKernel(domain=lang, codomain=lang, rows=rows)
-    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets)
+    return ClosedFormOptimum(policy, log_norm, tuple(floored), targets, tilt)
 
 
 def n_language_log_targets(
@@ -81,10 +83,12 @@ def n_language_log_targets(
     prompt: int,
     lang: int,
     targets: Mapping[tuple[int, int, int], LogDist],
+    weight: Callable[[int, int], float] | None = None,
 ) -> np.ndarray:
+    weight = scenario.beta if weight is None else weight
     ref_row = scenario.ref[lang].row(prompt)
     out = _floor_zeros(ref_row.logp)
     for via in _routes(scenario, lang):
         log_t = _floor_zeros(_logp_at(targets[(lang, via, prompt)], ref_row.support))
-        out += scenario.beta(lang, via) * log_t
+        out += weight(lang, via) * log_t
     return out
