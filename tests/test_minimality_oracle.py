@@ -122,7 +122,7 @@ def test_mixed_lengths_bit_identical(n_langs, n_candidates):
 ])
 def test_minimality_refuses_a_count_or_seed_that_is_not_an_integer(check, kw):
     s = tiny_bilingual([0.5, 0.5], [0.5, 0.5])
-    (name, value), = kw.items()
+    [name] = kw
     with pytest.raises(ValueError, match=f"{name} must be an integer >= {int(name != 'seed')}"):
         check(s, **kw)
 
