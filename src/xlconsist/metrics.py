@@ -70,41 +70,6 @@ class ConsistencyReport:
             raise ValueError("satisfied flag contradicts the recorded divergence")
 
 
-def _golden_section(grid: np.ndarray, fixed_t: float | None):
-    """One direction's search as a generator: it yields the temperatures it
-    needs, is sent their divergences and returns ``(smallest divergence,
-    its temperature)``.  The grid goes in one request; golden-section search
-    on log-temperature then refines around its argmin to width 1e-6."""
-    if fixed_t is not None:
-        (val,) = yield (fixed_t,)
-        return val, fixed_t
-    if grid.size == 0:
-        raise ValueError("temperature grid is empty")
-    values = yield grid
-    k = int(np.argmin(values))
-    best_val, best_t = values[k], float(grid[k])
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, grid.size - 1)])
-    if hi - lo > 0:
-        a, b = lo, hi
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        fc, fd = yield (math.exp(c), math.exp(d))
-        while b - a > 1e-6:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_PHI * (b - a)
-                (fc,) = yield (math.exp(c),)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_PHI * (b - a)
-                (fd,) = yield (math.exp(d),)
-            for x, fx in ((c, fc), (d, fd)):
-                if fx < best_val:
-                    best_val, best_t = fx, math.exp(x)
-    return best_val, best_t
-
-
 def _search(direct: RowStack, trip: RowStack, spec, t_grid,
             fixed_ts: list) -> list[tuple[float, float, bool]]:
     """``(divergence, temperature, support extended)`` of each direction i:
@@ -113,6 +78,8 @@ def _search(direct: RowStack, trip: RowStack, spec, t_grid,
     supports differ, both rows go onto their union as :func:`core.embed`
     puts them, with log-probabilities taken anew from the probabilities."""
     grid, n = np.asarray(t_grid, dtype=float), len(fixed_ts)
+    if grid.size == 0 and None in fixed_ts:
+        raise ValueError("temperature grid is empty")
     row, ids = np.concatenate([direct.row, trip.row]), np.concatenate([direct.ids, trip.ids])
     order = np.lexsort((ids, row))
     new = np.concatenate(([True], (np.diff(row[order]) != 0) | (np.diff(ids[order]) != 0)))
@@ -130,41 +97,68 @@ def _search(direct: RowStack, trip: RowStack, spec, t_grid,
             logp[redo] = np.log(probs[redo])
         sides += [probs, logp]
     start, block = np.cumsum(width) - width, np.arange(n) // _LOCKSTEP_DIRECTIONS
-    found: list = [None] * n
+    found = {}
     for k, b in dict.fromkeys(zip(width.tolist(), block.tolist())):
         group = np.flatnonzero((width == k) & (block == b)).tolist()
         at = start[group][:, None] + np.arange(k)
-        searches = [_golden_section(grid, fixed_ts[i]) for i in group]
-        for i, result in zip(group, _lockstep([a[at] for a in sides], searches, spec)):
-            found[i] = (*result, bool(extended[i]))
-    return found
+        vals, temps = _lockstep([a[at] for a in sides], [fixed_ts[i] for i in group], grid, spec)
+        found.update(zip(group, zip(vals, temps, extended[group].tolist())))
+    return [found[i] for i in range(n)]
 
 
-def _lockstep(sides: list, searches: list, spec: DivergenceSpec) -> list[tuple[float, float]]:
-    """Run the searches of directions over supports of one length together,
-    annealing all pending temperatures in one array.  ``sides`` holds the
-    (n, k) probabilities and log-probabilities of the direct rows, then of
-    the trips."""
+def _lockstep(sides: list, fixed_ts: list, grid: np.ndarray,
+              spec: DivergenceSpec) -> tuple[list[float], list]:
+    """Each direction's smallest divergence, and the temperatures there: the
+    grid, then golden-section search on log-temperature around its argmin to
+    width 1e-6, each step over the directions still running, unless fixed.
+    ``sides`` holds the (n, k) probabilities and log-probabilities of the
+    direct rows, then of the trips, all over supports of one length."""
     direct_p, direct_logp, trip_p, trip_logp = sides
-    results: list = [None] * len(searches)
-    pending = {i: next(g) for i, g in enumerate(searches)}
-    while pending:
-        rows = np.repeat(list(pending), [len(req) for req in pending.values()])
-        temps = np.concatenate([np.asarray(req, dtype=float) for req in pending.values()])
+
+    def score(rows, temps):
         q_logp, q_probs = trip_logp[rows], trip_p[rows]
         hot = temps != 1.0  # anneal returns its input unchanged at T = 1
-        if hot.any():
+        if hot.all():
+            q_logp, q_probs = anneal_rows(q_logp, temps)
+        elif hot.any():
             q_logp[hot], q_probs[hot] = anneal_rows(q_logp[hot], temps[hot])
-        values = f_divergence_rows(spec.kind, direct_p[rows], direct_logp[rows],
-                                   q_probs, q_logp).tolist()
-        asked, pending, start = pending, {}, 0
-        for i, req in asked.items():
-            answer, start = values[start:start + len(req)], start + len(req)
-            try:
-                pending[i] = searches[i].send(answer)
-            except StopIteration as done:
-                results[i] = done.value
-    return results
+        return f_divergence_rows(spec.kind, direct_p[rows], direct_logp[rows], q_probs, q_logp)
+
+    def each(f, x):  # math.exp and math.log: numpy's differ in last bits
+        return np.array([f(v) for v in x.tolist()])
+
+    searched, temps = np.array([t is None for t in fixed_ts]), np.array(fixed_ts, dtype=object)
+    counts, rows = np.where(searched, grid.size, 1), np.flatnonzero(searched)
+    values = score(np.repeat(np.arange(len(fixed_ts)), counts),
+                   np.concatenate([grid if t is None else [t] for t in fixed_ts], dtype=float))
+    found = values[np.cumsum(counts) - 1]  # each direction's last value: a fixed one's stands
+    if rows.size:
+        values = values[np.repeat(searched, counts)].reshape(rows.size, grid.size)
+        k = np.argmin(values, axis=1)
+        a, b = (each(math.log, grid[np.clip(k + s, 0, grid.size - 1)]) for s in (-1, 1))
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        fc, fd, best_x = np.full((3, rows.size), math.nan)  # best_x: log-T of a refined best
+        if (go := np.flatnonzero(b - a > 0)).size:
+            fc[go], fd[go] = score(np.tile(rows[go], 2),
+                                   each(math.exp, np.concatenate((c[go], d[go])))).reshape(2, -1)
+        best, at, xs = values[np.arange(rows.size), k], np.arange(rows.size), best_x.copy()
+        while at.size:
+            if not (keep := b - a > 1e-6).all():  # the finished leave; their bests are kept
+                found[rows[at]], xs[at] = best, best_x
+                a, b, c, d, fc, fd, best, best_x, at = (
+                    v[keep] for v in (a, b, c, d, fc, fd, best, best_x, at))
+                continue
+            left = fc <= fd
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+            fx = score(rows[at], each(math.exp, x))
+            c, d = np.where(left, x, d), np.where(left, c, x)
+            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+            for y, fy in ((c, fc), (d, fd)):  # c first, and only a strict gain counts
+                better = fy < best
+                best, best_x = np.where(better, fy, best), np.where(better, y, best_x)
+        temps[rows] = np.where(np.isnan(xs), grid[k], each(math.exp, xs))
+    return found.tolist(), temps.tolist()
 
 
 def check_pairs(pi, translators, pairs, spec, eps, t_grid, fixed=None,

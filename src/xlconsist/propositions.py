@@ -2,7 +2,7 @@
 
 Each check takes a scenario and returns pass, fail, or skipped-with-reason
 when its preconditions are not met (unbalanced strengths, leaky
-translators, too few languages).  The checks are deliberately independent
+translators, too few languages or candidates).  The checks are deliberately independent
 of the optimizers: they evaluate objectives directly, and divergences
 through the lockstep search of ``metrics.check_pairs`` at fixed temperatures.
 
@@ -27,6 +27,7 @@ from xlconsist.metrics import DEFAULT_T_GRID, check_pairs
 from xlconsist.objectives import (
     ClosedFormOptimum,
     LogitTable,
+    _tilt,
     closed_form_optimum,
     dco_loss,
     n_language_optimum,
@@ -73,8 +74,8 @@ def _minimality(
     n_perturbations: int = 100,
     seed: int = 0,
 ) -> CheckResult:
-    """Tilt every row toward a random distribution by at least ``_MIN_TV``, all
-    perturbations first; score each row's as one stack, margins in drawing order."""
+    """Tilt each row of two or more candidates toward a random distribution by at
+    least ``_MIN_TV``, drawing all first; score each row's as one stack, margins in draw order."""
     require_int("n_perturbations", n_perturbations, 1)
     require_int("seed", seed, 0)
     best = n_language_total(optimum.policy, s, optimum.targets)
@@ -82,11 +83,14 @@ def _minimality(
         return CheckResult(check_id, "fail", f"objective at the optimum is {best}, so no margin "
                            f"is defined; optimum.floored {optimum.floored}",
                            observed=float(best), expected="finite objective, margin > 0")
-    rng = np.random.default_rng(seed)
     rows = {(lang, p): row.probs for lang, k in optimum.policy.items() for p, row in k.rows.items()}
-    stacks = {key: np.empty((n_perturbations, len(probs))) for key, probs in rows.items()}
+    stacks = {key: np.tile(probs, (n_perturbations, 1)) for key, probs in rows.items()}
+    drawn = {key: probs for key, probs in rows.items() if len(probs) > 1}
+    if not drawn:
+        return CheckResult(check_id, "skipped", "no row has two candidates to perturb")
+    rng = np.random.default_rng(seed)
     for i in range(n_perturbations):
-        for key, probs in rows.items():
+        for key, probs in drawn.items():
             while True:
                 q = rng.random(len(probs)) + 1e-6
                 q /= q.sum()
@@ -146,9 +150,11 @@ def check_logit_target_equivalence(s: Scenario, optimum=None) -> CheckResult:
     if optimum is None:
         optimum = n_language_optimum(s)
     # tilted again at the strengths, so a corrupted optimum drifts from it
-    targets = tilted_optimum(s, optimum.targets, s.beta).table()
+    rows = [(lang, p) for lang in s.lang_ids for p in s.space(lang).prompts]
+    targets = LogitTable({p: s.ref[lang].row(p).support for lang, p in rows},
+                         {p: _tilt(s, lang, p, optimum.targets, s.beta)[0] for lang, p in rows})
     worst = max([0.0, *(float(np.abs(targets.policy_row(p).probs - optimum.row(lang, p).probs).max())
-                        for lang in s.lang_ids for p in s.space(lang).prompts)])
+                        for lang, p in rows)])
     if worst > 1e-12:
         return CheckResult(cid, "fail", "normalized targets drift from the optimum",
                            observed=worst, expected="<= 1e-12")

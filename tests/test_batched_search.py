@@ -151,6 +151,129 @@ def test_row_functions_match_scalar_oracle_in_bulk():
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected], (k, kind)
 
 
+def _random_grid(seed):
+    """A log-spaced grid with ends in e^[-8, 8], 2 to 61 temperatures long."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(rng.uniform(-8.0, 8.0, 2))
+    return np.geomspace(math.exp(lo), math.exp(hi), int(rng.integers(2, 62)))
+
+
+def _log_parts(grid):
+    """Where ``np.log`` of a grid temperature is not ``math.log`` of it."""
+    return np.flatnonzero(np.log(grid) != np.array([math.log(t) for t in grid.tolist()]))
+
+
+# seeds of random grids on which the two logs part somewhere
+LOG_PARTING = [seed for seed in range(2000) if _log_parts(_random_grid(seed)).size]
+
+
+@st.composite
+def calls(draw):
+    """One ``_search`` call: 1 to 12 directions of mixed widths, some over
+    extended supports, some fixed, on a named or a seeded random grid.  A
+    peaked direction has its minimum between two grid temperatures; on a
+    grid where the logs part, it is placed so that refinement starts from a
+    parted entry."""
+    source = draw(st.sampled_from(("named", "random", "log-parting")))
+    if source == "named":
+        grid = GRIDS[draw(st.sampled_from(sorted(GRIDS)))]
+    else:
+        grid = _random_grid(draw(st.sampled_from(LOG_PARTING) if source == "log-parting"
+                                 else st.integers(0, 2**32 - 1)))
+    parts = _log_parts(grid).tolist()
+    pairs, fixed = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        seed, k = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12))
+        if grid.size > 2 and draw(st.booleans()):
+            j = draw(st.sampled_from(parts) if parts else st.integers(0, grid.size - 1))
+            j = min(max(j + draw(st.sampled_from((-2, -1, 0, 1))), 0), grid.size - 2)
+            t = grid[j] * (grid[j + 1] / grid[j]) ** draw(st.sampled_from((0.3, 0.5, 0.7)))
+            trip = _row(np.random.default_rng(seed), tuple(range(k)), "dense")
+            pairs.append((anneal(trip, t), trip))
+        else:
+            styles = draw(st.tuples(st.sampled_from(STYLES), st.sampled_from(STYLES)))
+            pairs.append(_direction(seed, k, styles, draw(st.booleans())))
+        fixed.append(draw(st.sampled_from((None,) * 4 + FIXED[:5])))
+    return pairs, grid, fixed
+
+
+@pytest.mark.parametrize("block", [512, 3])
+@settings(max_examples=120, deadline=None)
+@given(call=calls(), kind=st.sampled_from(DIVERGENCE_KINDS))
+def test_many_directions_match_scalar_oracle(block, call, kind):
+    """Each direction of one call, searched together with the others (all
+    at once or in blocks of three), gets the bits it gets alone."""
+    pairs, grid, fixed = call
+    spec = DivergenceSpec(kind)
+    want = [_outcome(lambda: _scalar(oracle._directional_divergence, d, t, spec, grid, f))
+            for (d, t), f in zip(pairs, fixed)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_LOCKSTEP_DIRECTIONS", block)
+        try:
+            found = _search_pairs(pairs, spec, grid, fixed)
+        except Exception as err:  # noqa: BLE001 - the type is what is compared
+            assert type(err).__name__ in want
+            return
+    assert [_outcome(lambda: got) for got in found] == want
+
+
+def test_random_grids_include_ones_where_the_logs_part():
+    # the premise of the log-parting grids above: about 3% of them
+    assert 20 < len(LOG_PARTING) < 200
+
+
+def _peaked(rng, k, t):
+    trip = _row(rng, tuple(range(k)), "dense")
+    return anneal(trip, t), trip
+
+
+def test_pinned_directions_keep_the_scalar_bits():
+    """Directions on which each bit-exact rule of the search shows, every
+    run: minima next to a grid temperature whose ``np.log`` is not its
+    ``math.log`` (grid logs), minima across the default grid (refined
+    temperatures from ``math.exp``), and divergences that are exactly 0
+    from some temperature on, where only a strict gain moves the best."""
+    rng = np.random.default_rng(21)
+    calls = []
+    for seed in LOG_PARTING[:12]:
+        grid = _random_grid(seed)
+        pairs = []
+        for j in _log_parts(grid).tolist():
+            # a minimum just above entry j + 1 or just below entry j - 1
+            # makes j an end of the interval refinement starts from
+            for at, toward in ((j + 1, j + 2), (j - 1, j - 2)):
+                if 0 <= toward < grid.size:
+                    t = grid[at] * (grid[toward] / grid[at]) ** 0.3
+                    pairs.append(_peaked(rng, int(rng.integers(2, 7)), t))
+        calls.append((grid, pairs))
+    spread = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 60))
+    calls.append((DEFAULT_T_GRID, [_peaked(rng, 2 + i % 6, t) for i, t in enumerate(spread)]))
+    # every other entry underflows against the top from about T = 37 / gap
+    plateaus = [(LogDist.point_mass(tuple(range(k)), 0),
+                 LogDist.from_logp(tuple(range(k)), -gap * np.arange(k)))
+                for k in (2, 3, 5) for gap in (0.3, 1.0, 4.0)]
+    calls.append((DEFAULT_T_GRID, plateaus))
+    for kind in DIVERGENCE_KINDS:
+        spec = DivergenceSpec(kind)
+        for grid, pairs in calls:
+            found = _search_pairs(pairs, spec, grid, [None] * len(pairs))
+            want = [_scalar(oracle._directional_divergence, d, t, spec, grid, None)
+                    for d, t in pairs]
+            assert [_outcome(lambda: w) for w in want] == [_outcome(lambda: f) for f in found]
+    assert sum(len(pairs) for _, pairs in calls[:-2]) > 12
+
+
+def test_empty_grid_is_refused_only_where_a_direction_searches():
+    spec = DivergenceSpec("forward-kl")
+    two, three = _direction(1, 2, ("dense", "dense"), False), _direction(2, 3, ("dense", "dense"), False)
+    found = _search_pairs([two, three], spec, np.array([]), [0.5, 1.0])
+    assert [(t, ext) for _, t, ext in found] == [(0.5, False), (1.0, False)]
+    # the error comes before any evaluation, even where a fixed direction of
+    # another length, searched first, has a temperature that would fail
+    with pytest.raises(ValueError, match="^temperature grid is empty$"):
+        _search_pairs([two, three], spec, np.array([]), [0.0, None])
+
+
 @pytest.mark.parametrize("block", [512, 5])
 def test_lockstep_directions_leave_at_different_steps(block, monkeypatch):
     """One call over mixed support lengths, interior and grid-edge minima

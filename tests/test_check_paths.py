@@ -125,3 +125,15 @@ def test_minimality_fails_when_the_objective_at_the_optimum_is_infinite():
         assert results[cid].status == "fail", cid
         assert results[cid].observed == float("inf")
         assert "optimum.floored ((1, 8),)" in results[cid].detail
+
+
+@pytest.mark.parametrize("n_langs", (2, 3))
+def test_run_checks_skips_minimality_without_a_row_to_perturb(n_langs):
+    # a row of one candidate is at TV 0 from every draw; it once hung the check
+    s = generate(GeneratorConfig(n_langs=n_langs, n_prompts=2, n_candidates=1, seed=1))
+    found = {r.check_id: (r.status, r.detail) for r in run_checks(s)}
+    skipped = ("skipped", "no row has two candidates to perturb")
+    assert found["multi-language-minimality"] == skipped
+    assert found["optimum-minimality"] == (skipped if n_langs == 2
+                                           else ("skipped", "needs exactly two languages"))
+    assert "fail" not in {status for status, _ in found.values()}

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +334,18 @@ class TestVerify:
 
     def test_without_target_exits_one(self):
         assert run("verify") == 1
+
+    def test_one_candidate_scenario_returns(self, tmp_path):
+        # minimality once drew forever for a row with nothing to perturb,
+        # so the pair runs in a child process that a timeout can stop
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        sc = tmp_path / "one.json"
+        for argv in (["gen", "--cands", "1", "--out", sc], ["verify", "--scenario", sc]):
+            done = subprocess.run([sys.executable, "-m", "xlconsist.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+        assert "multi-language-minimality: SKIPPED (no row has two candidates to perturb)" \
+            in done.stdout
 
 
 class TestReport:

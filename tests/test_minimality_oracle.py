@@ -91,15 +91,16 @@ def test_floored_optima_bit_identical(n_langs, n_candidates, mode):
     assert any(np.isfinite(r.observed) for r in seen)
 
 
-def _truncated(s, seed):
+def _truncated(s, seed, single=False):
     """``s`` with every reference row cut to a random length of at least 2
-    (a row of one entry has no perturbation) and renormalized."""
+    and renormalized; with ``single``, each language's first row keeps one
+    entry instead (the oracle would draw forever for it)."""
     rng = np.random.default_rng(seed)
     ref = {}
     for lang, kernel in s.ref.items():
         rows = {}
-        for p, row in kernel.rows.items():
-            keep = int(rng.integers(2, len(row.support) + 1))
+        for j, (p, row) in enumerate(kernel.rows.items()):
+            keep = 1 if single and j == 0 else int(rng.integers(2, len(row.support) + 1))
             rows[p] = LogDist.from_probs(row.support[:keep],
                                          row.probs[:keep] / row.probs[:keep].sum())
         ref[lang] = StochasticKernel(lang, lang, rows)
@@ -112,6 +113,20 @@ def test_mixed_lengths_bit_identical(n_langs, n_candidates):
     assert len({len(r.support) for k in s.ref.values() for r in k.rows.values()}) > 1
     seen = _assert_same_checks(s, None) + _assert_same_checks(s, MonteCarloConfig(64, seed=1))
     assert any(r.status == "pass" for r in seen)
+
+
+@pytest.mark.parametrize("n_langs", [2, 3, 4, 8])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rows_of_one_entry_stay_put(n_langs, seed):
+    # such a row once hung the check; the others are perturbed as before
+    s = _truncated(_generated(n_langs, 6, "noisy", 1.0, seed), seed, single=True)
+    assert sum(len(r.support) == 1 for k in s.ref.values() for r in k.rows.values()) == n_langs
+    optimum = n_language_optimum(s)
+    assert check_multi_language_minimality(s, optimum=optimum).status == "pass"
+    corrupted = check_multi_language_minimality(s, optimum=corrupt_exponent(s, optimum))
+    # from four languages on, some corrupted optima pass: the blind spot of
+    # perturbing every row at once
+    assert corrupted.status == "fail" or n_langs >= 4
 
 
 @pytest.mark.parametrize("check", [check_optimum_minimality, check_multi_language_minimality])

@@ -18,7 +18,7 @@ breakage would show only as a fingerprint or oracle mismatch.
 import numpy as np
 import pytest
 
-from xlconsist.metrics import DEFAULT_T_GRID
+from xlconsist.metrics import _INV_PHI, DEFAULT_T_GRID
 
 
 def _rows(n, k, seed):
@@ -52,6 +52,29 @@ def test_elementwise_exp_equals_one_row_exp(n):
     for k in ROW_LENGTHS:
         a = _rows(n, k, seed=1000 * n + k)
         assert np.exp(a).tobytes() == np.concatenate([np.exp(r) for r in a]).tobytes(), (n, k)
+
+
+def test_golden_section_points_on_arrays_equal_the_scalar_points():
+    # the temperature search keeps every direction's interval in arrays and
+    # places both interior points with one expression each
+    rng = np.random.default_rng(10)
+    a = rng.uniform(np.log(1e-3), np.log(1e3), 100_000)
+    b = a + 10.0 ** rng.uniform(-7, 0.5, a.size)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    want = [(y - _INV_PHI * (y - x), x + _INV_PHI * (y - x)) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.stack([c, d], axis=1).tobytes() == np.array(want).tobytes()
+
+
+def test_row_argmin_is_each_row_argmin_with_ties_and_nan():
+    # a grid argmin per direction: the first of tied minima, else the first NaN
+    rng = np.random.default_rng(11)
+    v = rng.integers(0, 4, size=(2000, 61)).astype(float)
+    v[rng.random(v.shape) < 0.01] = np.nan
+    v[0, :3], v[1, :3], v[2, :3] = (1.0, -0.0, 0.0), (np.nan, -1.0, np.nan), (2.0, np.nan, -1.0)
+    got = np.argmin(v, axis=1)
+    assert got.tolist() == [int(np.argmin(row)) for row in v.tolist()]
+    assert got[:3].tolist() == [1, 0, 1]
+    assert 100 < np.isnan(v).any(axis=1).sum() < 2000
 
 
 def test_grid_holds_unit_temperature_exactly():
