@@ -167,6 +167,12 @@ def _log_parts(grid):
 LOG_PARTING = [seed for seed in range(2000) if _log_parts(_random_grid(seed)).size]
 
 
+def _peaked(rng, k, t):
+    """A direction whose divergence is smallest at temperature ``t``."""
+    trip = _row(rng, tuple(range(k)), "dense")
+    return anneal(trip, t), trip
+
+
 @st.composite
 def calls(draw):
     """One ``_search`` call: 1 to 12 directions of mixed widths, some over
@@ -188,8 +194,7 @@ def calls(draw):
             j = draw(st.sampled_from(parts) if parts else st.integers(0, grid.size - 1))
             j = min(max(j + draw(st.sampled_from((-2, -1, 0, 1))), 0), grid.size - 2)
             t = grid[j] * (grid[j + 1] / grid[j]) ** draw(st.sampled_from((0.3, 0.5, 0.7)))
-            trip = _row(np.random.default_rng(seed), tuple(range(k)), "dense")
-            pairs.append((anneal(trip, t), trip))
+            pairs.append(_peaked(np.random.default_rng(seed), k, t))
         else:
             styles = draw(st.tuples(st.sampled_from(STYLES), st.sampled_from(STYLES)))
             pairs.append(_direction(seed, k, styles, draw(st.booleans())))
@@ -218,13 +223,8 @@ def test_many_directions_match_scalar_oracle(block, call, kind):
 
 
 def test_random_grids_include_ones_where_the_logs_part():
-    # the premise of the log-parting grids above: about 3% of them
+    # the premise of the log-parting grids above: about 2% of them
     assert 20 < len(LOG_PARTING) < 200
-
-
-def _peaked(rng, k, t):
-    trip = _row(rng, tuple(range(k)), "dense")
-    return anneal(trip, t), trip
 
 
 def test_pinned_directions_keep_the_scalar_bits():
@@ -265,7 +265,8 @@ def test_pinned_directions_keep_the_scalar_bits():
 
 def test_empty_grid_is_refused_only_where_a_direction_searches():
     spec = DivergenceSpec("forward-kl")
-    two, three = _direction(1, 2, ("dense", "dense"), False), _direction(2, 3, ("dense", "dense"), False)
+    two = _direction(1, 2, ("dense", "dense"), False)
+    three = _direction(2, 3, ("dense", "dense"), False)
     found = _search_pairs([two, three], spec, np.array([]), [0.5, 1.0])
     assert [(t, ext) for _, t, ext in found] == [(0.5, False), (1.0, False)]
     # the error comes before any evaluation, even where a fixed direction of
