@@ -231,8 +231,9 @@ def test_pinned_directions_keep_the_scalar_bits():
     """Directions on which each bit-exact rule of the search shows, every
     run: minima next to a grid temperature whose ``np.log`` is not its
     ``math.log`` (grid logs), minima across the default grid (refined
-    temperatures from ``math.exp``), and divergences that are exactly 0
-    from some temperature on, where only a strict gain moves the best."""
+    temperatures from ``math.exp``), divergences that are exactly 0 from
+    some temperature on, where only a strict gain moves the best, and a tie
+    below the grid's best that only the c-then-d order settles."""
     rng = np.random.default_rng(21)
     calls = []
     for seed in LOG_PARTING[:12]:
@@ -246,6 +247,7 @@ def test_pinned_directions_keep_the_scalar_bits():
                     t = grid[at] * (grid[toward] / grid[at]) ** 0.3
                     pairs.append(_peaked(rng, int(rng.integers(2, 7)), t))
         calls.append((grid, pairs))
+    assert sum(len(pairs) for _, pairs in calls) > 12
     spread = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 60))
     calls.append((DEFAULT_T_GRID, [_peaked(rng, 2 + i % 6, t) for i, t in enumerate(spread)]))
     # every other entry underflows against the top from about T = 37 / gap
@@ -253,6 +255,8 @@ def test_pinned_directions_keep_the_scalar_bits():
                  LogDist.from_logp(tuple(range(k)), -gap * np.arange(k)))
                 for k in (2, 3, 5) for gap in (0.3, 1.0, 4.0)]
     calls.append((DEFAULT_T_GRID, plateaus))
+    # total variation is 1 - 2**-53 at both points first compared, 1 on the grid
+    calls.append((_random_grid(1), [_direction(2645, 11, ("point", "heavy"), True)]))
     for kind in DIVERGENCE_KINDS:
         spec = DivergenceSpec(kind)
         for grid, pairs in calls:
@@ -260,7 +264,6 @@ def test_pinned_directions_keep_the_scalar_bits():
             want = [_scalar(oracle._directional_divergence, d, t, spec, grid, None)
                     for d, t in pairs]
             assert [_outcome(lambda: w) for w in want] == [_outcome(lambda: f) for f in found]
-    assert sum(len(pairs) for _, pairs in calls[:-2]) > 12
 
 
 def test_empty_grid_is_refused_only_where_a_direction_searches():
