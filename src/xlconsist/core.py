@@ -189,9 +189,7 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
 def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Renormalized ``(logp, probs)`` of each row of an (n, k) array
     annealed at its own temperature, with the bits and checks of
-    ``LogDist.from_logp``; unlike :func:`anneal`, it renormalizes at T = 1.
-    A row less a log-sum-exp no smaller than its maximum stays at or below
-    0, so of the row checks only normalization can fail after that."""
+    ``LogDist.from_logp``; unlike :func:`anneal`, it renormalizes at T = 1."""
     bad = ~(temps > 0)
     if bad.any():
         raise ValueError(f"temperature must be positive, got {float(temps[bad][0])}")
@@ -200,6 +198,12 @@ def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("log-weights must be finite or -inf")
     if (lp.max(axis=1) == -math.inf).any():
         raise ValueError("all log-weights are -inf")
+    return normalize_rows(lp)
+
+
+def normalize_rows(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`anneal_rows` at T = 1 less its checks, for rows with a finite maximum and no
+    NaN: such a row less its log-sum-exp stays at or below 0, so only normalization can fail."""
     lp = lp - logsumexp_rows(lp)[:, None]
     total = logsumexp_rows(lp)
     off = ~(np.abs(total) <= NORMALIZATION_TOL)

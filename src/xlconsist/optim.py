@@ -17,11 +17,13 @@ policies, and against the closed form), not in raw loss, because the loss
 is sensitive to per-prompt shifts the induced policy ignores.
 
 Both fitters keep their scores stacked, one (n, C) array per support
-length C, and add per-prompt values one prompt at a time in ascending ID,
-so every bit is that of one-row arithmetic.  The on-policy step resolves
-each slot's prompt first, then updates in waves: wave k holds the k-th
-draw of each prompt, so repeats stay sequential and distinct prompts
-update together.
+length C, and sum per-prompt values in ascending ID by one ``cumsum`` after a
+leading 0.0, one at a time, so every bit is that of one-row arithmetic.  The
+on-policy step resolves each slot's prompt first, then updates in waves:
+wave k holds the k-th draw of each prompt, so repeats stay sequential and
+distinct prompts update together.  Wave 0 of each length group reads its
+rows from the softmax that ended the last iteration, untouched since.  A
+step to non-finite scores returns the last finite ones with a diagnostic.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from xlconsist.core import StochasticKernel, anneal_rows, logsumexp_rows
+from xlconsist.core import StochasticKernel, logsumexp_rows, normalize_rows, require_int
 from xlconsist.objectives import (
     LogitTable,
     dco_loss,
@@ -66,10 +68,9 @@ class OptimizerConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not (self.step_size > 0):
             raise ValueError("step_size must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.batch < 1 or self.rollouts < 1:
-            raise ValueError("batch and rollouts must be >= 1")
+        for name in ("max_iters", "batch", "rollouts"):
+            require_int(name, getattr(self, name), 1)
+        require_int("seed", self.seed, 0)
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         if self.norm not in ("l1", "l2"):
@@ -119,24 +120,23 @@ def _start(scenario: Scenario):
 
 
 def _softmax(zs: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """(logp, probs) stacks, with the bits and checks of ``LogDist.from_logp``."""
-    return tuple(zip(*(anneal_rows(z, np.ones(len(z))) for z in zs)))
+    """(logp, probs) stacks of finite scores, with the bits of ``LogDist.from_logp``."""
+    return tuple(zip(*(normalize_rows(z) for z in zs)))
 
 
 def _max_tv(ps, qs) -> float:
     """Largest row total variation between probability stacks; ``cumsum``
     adds each row's terms one at a time, as ``total_variation`` does."""
-    return max(float(np.max(0.5 * np.cumsum(np.abs(p - q), axis=1)[:, -1]))
-               for p, q in zip(ps, qs))
+    return max(float(0.5 * np.abs(p - q).cumsum(axis=1)[:, -1].max()) for p, q in zip(ps, qs))
 
 
-def _in_order(groups, per_row, weight) -> float:
-    """Sum of ``weight(p)`` times each row's value, one prompt at a time in ascending ID."""
-    value = {p: v for g, vals in zip(groups, per_row) for p, v in zip(g, vals.tolist())}
-    total = 0.0
-    for p in sorted(value):
-        total += weight(p) * value[p]
-    return total
+def _in_order(groups, weight):
+    """Sums of ``weight(p)`` times each row's value, one prompt at a time in
+    ascending ID: ``cumsum`` adds in sequence, its leading 0.0 as ``0.0 + x``."""
+    ids = [p for g in groups for p in g]
+    order = np.concatenate(([0], 1 + np.argsort(ids)))
+    w = np.array([1.0] + [weight(p) for p in sorted(ids)])
+    return lambda per_row: float(np.cumsum(w * np.concatenate((np.zeros(1), *per_row))[order])[-1])
 
 
 def _table(supports, groups, zs: list[np.ndarray]) -> LogitTable:
@@ -156,13 +156,14 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
         raise ValueError(f"fit_dco requires method {METHOD_DCO!r}")
     groups, z, targets, opt, weights, supports = _start(scenario)
     step_weights = [np.array([weights[p] for p in g])[:, None] for g in groups]
+    total = _in_order(groups, lambda p: weights.get(p, 0.0))
 
     def loss_of(zs: list[np.ndarray]) -> float:
         resid = [row - t for row, t in zip(zs, targets)]
-        with np.errstate(over="ignore"):  # an overflow is an infinite loss, named below
-            per = [np.abs(r).sum(axis=1) if config.norm == "l1" else (r ** 2).sum(axis=1)
-                   for r in resid]
-        return _in_order(groups, per, lambda p: weights.get(p, 0.0))
+        # an overflow is an infinite loss, named below (NaN at a zero weight)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return total([np.abs(r).sum(axis=1) if config.norm == "l1" else (r ** 2).sum(axis=1)
+                          for r in resid])
 
     loss = loss_of(z)
     _, policy = _softmax(z)
@@ -211,15 +212,11 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
             overflows = 0 if math.isfinite(new_loss) else overflows + 1
             moved = None
 
-        trace.append(TraceRow(it, loss, tv_opt, 0,
-                              (time.perf_counter() - started) * 1e3))
-        if loss == 0.0:
-            converged = True
-            break
+        trace.append(TraceRow(it, loss, tv_opt, 0, (time.perf_counter() - started) * 1e3))
         # a row whose residuals share one sign moves by a pure constant,
         # which the induced policy ignores; the stall criterion is only
         # meaningful once the update actually moves the policy
-        if accepted and not pure_shift and moved is not None and moved <= config.tol:
+        if loss == 0.0 or accepted and not pure_shift and moved <= config.tol:
             converged = True
             break
         if step < _STEP_FLOOR:
@@ -237,20 +234,21 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
 
 
 def _score_step(z: np.ndarray, targets: np.ndarray, rows: list[int], u: np.ndarray,
-                step: float) -> None:
-    """One score-function update, in place, of the distinct ``rows`` of
-    ``z``, row i drawing its roll-outs from the uniforms ``u[i]``."""
+                step: float, offsets: np.ndarray, lp: np.ndarray | None = None) -> None:
+    """One score-function update, in place, of the distinct ``rows`` of ``z``
+    (log-probabilities ``lp`` if known), row i drawing its roll-outs from the
+    uniforms ``u[i]``; ``offsets[i]`` is ``i * z.shape[1]``."""
     (n, rollouts), c = u.shape, z.shape[1]
     row = z[rows]
-    lp = row - logsumexp_rows(row)[:, None]
+    if lp is None:
+        lp = row - logsumexp_rows(row)[:, None]
     pi = np.exp(lp)
     # counting cumulative masses at or below u is searchsorted(side="right")
-    draws = np.minimum((np.cumsum(pi, axis=1)[:, None] <= u[:, :, None]).sum(axis=2), c - 1)
-    at = np.arange(n)[:, None]
-    reward = targets[rows][at, draws] - lp[at, draws]
+    draws = np.minimum((pi.cumsum(axis=1)[:, :, None] <= u[:, None, :]).sum(axis=1), c - 1)
+    flat = draws + offsets[:n]
+    reward = targets[rows].take(flat) - lp.take(flat)
     adv = reward - (reward.sum(axis=1) / rollouts)[:, None]
-    grad = np.bincount((draws + c * at).ravel(), weights=adv.ravel(), minlength=n * c)
-    grad = grad.reshape(n, c)
+    grad = np.bincount(flat.ravel(), weights=adv.ravel(), minlength=n * c).reshape(n, c)
     z[rows] = row + step * (grad / rollouts - pi * (adv.sum(axis=1) / rollouts)[:, None])
 
 
@@ -275,18 +273,23 @@ def fit_pco_reinforce(
     groups, z, targets, opt, weights, supports = _start(scenario)
     where = {p: (g, r) for g, ps in enumerate(groups) for r, p in enumerate(ps)}
     langs = scenario.lang_ids
-    prior_cums = [(np.cumsum(scenario.priors[lang].probs),
-                   np.asarray(scenario.priors[lang].support)) for lang in langs]
+    # a slot's draw counts its language's cumulated prior masses at or below
+    # u: +inf pads count none, and past the last mass the last prompt pads
+    priors = [scenario.priors[lang] for lang in langs]
+    pads = [(0, 1 + max(len(d.support) for d in priors) - len(d.support)) for d in priors]
+    prior_cum = np.array([np.pad(np.cumsum(d.probs), w, constant_values=math.inf)
+                          for d, w in zip(priors, pads)])
+    prior_sup = np.array([np.pad(d.support, w, mode="edge") for d, w in zip(priors, pads)])
+    total = _in_order(groups, weights.__getitem__)
+    offsets = [zg.shape[1] * np.arange(config.batch)[:, None] for zg in z]
 
     def objective(lps, probs) -> float:
         # exact prior-weighted objective given the fixed target table
-        per = [(pi * (lp - t)).sum(axis=1) for lp, pi, t in zip(lps, probs, targets)]
-        return _in_order(groups, per, weights.__getitem__)
+        return total([(pi * (lp - t)).sum(axis=1) for lp, pi, t in zip(lps, probs, targets)])
 
     trace: list[TraceRow] = []
     samples = 0
     lps, prev_policy = _softmax(z)
-    converged = False
     diagnostic = ""
     worsening = 0
     last_objective = objective(lps, prev_policy)
@@ -296,26 +299,29 @@ def fit_pco_reinforce(
         # per slot: a language, a prompt and the roll-outs' uniforms
         u = rng.random(config.batch * (2 + config.rollouts)).reshape(config.batch, -1)
         lang_at = (u[:, 0] * len(langs)).astype(int) % len(langs)
-        slot_prompt = np.empty(config.batch, dtype=int)
-        for k, (cum, sup) in enumerate(prior_cums):
-            at = lang_at == k
-            slot_prompt[at] = sup[np.minimum(np.searchsorted(cum, u[at, 1], side="right"),
-                                             len(sup) - 1)]
-        # (draw number, length group) -> slots; a prompt's k-th draw is
-        # keyed after its (k-1)-th, so each group's waves run in order
-        waves: dict[tuple[int, int], list[int]] = {}
+        slot_prompt = prior_sup[lang_at, (prior_cum[lang_at] <= u[:, 1:2]).sum(axis=1)]
+        # (draw number, length group) -> (slots, rows); a prompt's k-th draw
+        # is keyed after its (k-1)-th, so each group's waves run in order
+        waves: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         drawn: dict[int, int] = {}
         for b, p in enumerate(slot_prompt.tolist()):
-            drawn[p] = drawn.get(p, -1) + 1
-            waves.setdefault((drawn[p], where[p][0]), []).append(b)
-        for (_, g), slots in waves.items():
-            rows = [where[int(slot_prompt[b])][1] for b in slots]
-            _score_step(z[g], targets[g], rows, u[slots, 2:], config.step_size)
+            k = drawn[p] = drawn.get(p, -1) + 1
+            g, r = where[p]
+            slots, rows = waves.setdefault((k, g), ([], []))
+            slots.append(b)
+            rows.append(r)
+        new = [zg.copy() for zg in z]  # z is returned if a score turns non-finite
+        with np.errstate(over="ignore", invalid="ignore"):  # later waves' NaN is caught below
+            for (k, g), (slots, rows) in waves.items():
+                # wave 0 finds its rows as the last softmax left them
+                _score_step(new[g], targets[g], rows, u[slots, 2:], config.step_size,
+                            offsets[g], lps[g][rows] if k == 0 else None)
         samples += config.batch * config.rollouts
 
-        if not all(np.isfinite(row).all() for row in z):
+        if not all(np.isfinite(row).all() for row in new):
             diagnostic = "non-finite parameters"
             break
+        z = new
         lps, probs = _softmax(z)
         obj = objective(lps, probs)
         worsening = worsening + 1 if obj > last_objective else 0
@@ -323,17 +329,14 @@ def fit_pco_reinforce(
         trace.append(TraceRow(it, obj, _max_tv(probs, opt), samples,
                               (time.perf_counter() - started) * 1e3))
         if _max_tv(probs, prev_policy) <= config.tol:
-            converged = True
             break
         prev_policy = probs
         if worsening >= _DIVERGENCE_PATIENCE:
             diagnostic = f"objective increased for {worsening} consecutive iterations"
             break
 
-    if not diagnostic and not converged:
-        converged = True  # ran its budget without diverging
     table = _table(supports, groups, z)
-    return policy_kernels(table, scenario), TrainTrace(tuple(trace), converged, diagnostic)
+    return policy_kernels(table, scenario), TrainTrace(tuple(trace), not diagnostic, diagnostic)
 
 
 @dataclass(frozen=True)

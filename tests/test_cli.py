@@ -81,6 +81,28 @@ class TestFit:
         assert run("fit", "--scenario", bench, "--method", "dco",
                    "--step", 0, "--out", tmp_path / "p.json") == 1
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", -1, "seed"), ("--iters", 0, "max_iters"),
+        ("--batch", 0, "batch"), ("--rollouts", 0, "rollouts"),
+    ])
+    def test_bad_integer_option_exits_one_naming_it(self, bench, tmp_path, capsys,
+                                                    flag, value, field):
+        out = tmp_path / "p.json"
+        assert run("fit", "--scenario", bench, "--method", "pco-reinforce",
+                   flag, value, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {field} must be an integer >= {int(field != 'seed')}, got {value}\n")
+        assert not out.exists()
+
+    def test_non_finite_parameters_exit_two(self, bench, tmp_path, capsys):
+        # a convergence failure like any other: the policy it stopped at is
+        # written, and the diagnostic is printed
+        out = tmp_path / "rl.json"
+        assert run("fit", "--scenario", bench, "--method", "pco-reinforce",
+                   "--step", "inf", "--out", out) == 2
+        assert capsys.readouterr().err == "convergence failure: non-finite parameters\n"
+        assert json.loads(out.read_text())["version"] == "1"
+
     def test_exhausted_budget_exits_two(self, bench, tmp_path, capsys):
         assert run("fit", "--scenario", bench, "--method", "dco",
                    "--iters", 1, "--out", tmp_path / "p.json") == 2

@@ -16,6 +16,7 @@ from conftest import tiny_bilingual
 from test_optim import single_candidate_world
 
 import fitter_oracle as oracle
+from xlconsist import optim
 from xlconsist.core import LogDist, StochasticKernel
 from xlconsist.optim import (
     METHOD_DCO,
@@ -186,6 +187,38 @@ def test_reinforce_default_rollouts_bit_identical(world):
 @pytest.mark.parametrize("world", sorted(WORLDS))
 def test_reinforce_repeated_prompts_bit_identical(world):
     same_reinforce(WORLDS[world], seed=7, batch=3, rollouts=5, max_iters=100)
+
+
+def test_in_order_sums_as_the_ascending_loop():
+    # the loop the cumsum replaced, on two interleaved groups; all -0.0
+    # values sum to +0.0 only behind the leading 0.0
+    groups = [[1, 4, 6], [0, 5]]
+    weights = {0: 0.3, 1: 0.125, 4: 0.2, 5: 0.1, 6: 0.275}
+    total = optim._in_order(groups, weights.__getitem__)
+    rng = np.random.default_rng(3)
+    cases = [[np.full(3, -0.0), np.full(2, -0.0)], [np.full(3, np.inf), np.array([np.nan, 1.0])]]
+    cases += [[rng.normal(size=3) * 1e3, rng.normal(size=2)] for _ in range(50)]
+    for per_row in cases:
+        value = {p: v for g, vals in zip(groups, per_row) for p, v in zip(g, vals.tolist())}
+        want = 0.0
+        for p in sorted(value):
+            want += weights[p] * value[p]
+        assert repr(total(per_row)) == repr(want)
+
+
+def test_reinforce_wave_zero_reuses_the_softmax_in_both_length_groups(monkeypatch):
+    # each group's first wave takes its rows' log-probabilities from the
+    # last softmax, and its later waves compute them; both give the old bits
+    waves = []
+    step = optim._score_step
+
+    def spy(z, targets, rows, u, size, offsets, lp=None):
+        waves.append((z.shape[1], lp is not None))
+        step(z, targets, rows, u, size, offsets, lp)
+
+    monkeypatch.setattr(optim, "_score_step", spy)
+    same_reinforce(WORLDS["two-lengths"], seed=7, batch=6, rollouts=16, max_iters=40)
+    assert set(waves) == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_reinforce_early_convergence_bit_identical():

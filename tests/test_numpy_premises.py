@@ -15,9 +15,13 @@ If a numpy upgrade breaks one, this names the premise; otherwise the
 breakage would show only as a fingerprint or oracle mismatch.
 """
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from xlconsist.core import logsumexp_rows
 from xlconsist.metrics import _INV_PHI, DEFAULT_T_GRID
 
 
@@ -196,6 +200,79 @@ def test_counting_at_or_below_is_searchsorted_right():
         assert np.array_equal(np.searchsorted(c, u_row, side="right"), got)
 
 
+def test_transposed_count_is_searchsorted_right():
+    # the on-policy step compares (rows, candidates, 1) cumulative masses
+    # with (rows, 1, roll-outs) uniforms and counts down the candidates;
+    # the slot draw counts a language's +inf-padded prior masses per slot
+    rows = np.exp(_rows(30, 6, seed=5))
+    rows[:, 2] = 0.0
+    rows[3, 4:] = 0.0  # zero mass at the end: the last value repeats
+    cums = np.cumsum(rows / rows.sum(axis=1)[:, None], axis=1)
+    us = np.random.default_rng(6).random((30, 64))
+    us[:, 0] = cums[:, 1]  # an exact tie, shared by the zero-mass entry
+    us[:, 1] = np.nextafter(cums[:, 3], 0.0)
+    us[:, 2] = cums[:, -1]
+    counted = (cums[:, :, None] <= us[:, None, :]).sum(axis=1)
+    for c, u_row, got in zip(cums, us, counted):
+        assert np.array_equal(np.searchsorted(c, u_row, side="right"), got)
+    padded = np.full((30, 9), np.inf)
+    padded[:, :6] = cums
+    slots = np.concatenate([us[:, 0], us[:, 1], us[:, 2], us[:, 3]])
+    at = np.tile(np.arange(30), 4)
+    assert np.array_equal((padded[at] <= slots[:, None]).sum(axis=1),
+                          [np.searchsorted(cums[i], x, side="right") for i, x in zip(at, slots)])
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_cumsum_after_a_leading_zero_is_the_ascending_loop():
+    # the fitters' prior-weighted sums: weights times values in one array
+    # product, summed by cumsum behind a leading 0.0, as the loop
+    # ``total = 0.0; total += w * v`` sums them
+    rng = np.random.default_rng(9)
+    cases = [[-0.0], [-0.0, -0.0], [-0.0, 1.5], [math.inf, 2.0], [math.nan, 1.0],
+             [1e308, 1e308, -1.0], [0.1, 0.2, 0.3]]
+    cases += [(rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, size=k)).tolist()
+              for k in (1, 2, 7, 8, 9, 40, 512)]
+    for values in cases:
+        w = rng.random(len(values))
+        total = 0.0
+        for x, y in zip(w.tolist(), values):
+            total += x * y
+        with np.errstate(over="ignore"):
+            got = float(np.cumsum(np.concatenate(([0.0], w * np.array(values))))[-1])
+        if math.isnan(total):
+            assert math.isnan(got), values
+        else:
+            assert _bits(got) == _bits(total), values
+    assert _bits(float(np.cumsum([-0.0])[-1])) != _bits(0.0 + -0.0)  # why the 0.0 leads
+
+
+def test_halving_commutes_with_the_max():
+    # ``_max_tv`` halves a row maximum, not each row; rounding is monotone,
+    # subnormals and NaN included
+    tiny = np.array([5e-324, 1.5e-323, 2.5e-323, 1e-310, 3e-320])
+    for x in (tiny, np.abs(_rows(1, 40, seed=2)[0]), np.array([1.0, np.nan, 2.0])):
+        a, b = float(0.5 * x.max()), float((0.5 * x).max())
+        assert _bits(a) == _bits(b) or math.isnan(a) and math.isnan(b)
+
+
+def test_logsumexp_of_a_row_subset_is_those_rows_of_the_stack():
+    # wave 0 of the on-policy step reads its rows from the softmax of the
+    # whole stack; a row's log-sum-exp must not depend on its neighbours
+    rng = np.random.default_rng(12)
+    for n, k in ((1, 2), (8, 6), (40, 17), (300, 6)):
+        a = _rows(n, k, seed=n + k) + rng.normal(size=(n, 1)) * 5.0
+        full = a - logsumexp_rows(a)[:, None]
+        for _ in range(20):
+            rows = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
+            part = a[rows]
+            assert (part - logsumexp_rows(part)[:, None]).tobytes() == full[rows].tobytes()
+            assert np.exp(full[rows]).tobytes() == np.exp(full)[rows].tobytes()
+
+
 def test_offset_bincount_is_add_at():
     rng = np.random.default_rng(4)
     n, c, k = 7, 6, 256
@@ -204,9 +281,12 @@ def test_offset_bincount_is_add_at():
     want = np.zeros((n, c))
     for i in range(n):
         np.add.at(want[i], draws[i], adv[i])
-    flat = (draws + c * np.arange(n)[:, None]).ravel()
-    got = np.bincount(flat, weights=adv.ravel(), minlength=n * c).reshape(n, c)
+    flat = draws + c * np.arange(n)[:, None]
+    got = np.bincount(flat.ravel(), weights=adv.ravel(), minlength=n * c).reshape(n, c)
     assert got.tobytes() == want.tobytes()
+    # the same flat indices gather each row's entries
+    table = rng.normal(size=(n, c))
+    assert table.take(flat).tobytes() == table[np.arange(n)[:, None], draws].tobytes()
 
 
 def test_sum_over_count_is_mean():

@@ -1,5 +1,7 @@
 """Off-policy and on-policy fitting against the closed form."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import tiny_bilingual
@@ -8,7 +10,9 @@ from xlconsist.core import LogDist, StochasticKernel, total_variation
 from xlconsist.objectives import (
     LogitTable,
     closed_form_optimum,
+    initial_logits,
     n_language_optimum,
+    policy_kernels,
 )
 from xlconsist.optim import (
     METHOD_DCO,
@@ -65,6 +69,21 @@ class TestConfig:
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method=METHOD_DCO, step_size=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("max_iters", True), ("max_iters", 2.0),
+        ("batch", 0), ("batch", 2.5), ("rollouts", 0), ("rollouts", "8"),
+        ("seed", -1), ("seed", 1.5), ("seed", False), ("seed", None),
+    ])
+    def test_integer_fields_refuse_other_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+            OptimizerConfig(method=METHOD_REINFORCE, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptimizerConfig(method=METHOD_REINFORCE, max_iters=np.int64(2),
+                              batch=np.int32(3), rollouts=np.int64(4), seed=np.int64(0))
+        _, trace = fit_pco_reinforce(generate(BENCH), cfg)
+        assert trace.total_samples == 2 * 3 * 4
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -124,6 +143,19 @@ class TestFitDco:
 
 
 class TestFitReinforce:
+    def test_non_finite_parameters_return_the_last_finite_scores(self):
+        # an infinite step leaves every drawn row non-finite in iteration 1;
+        # the fit stops there, quietly, with the scores it started from
+        s = generate(BENCH)
+        policy, trace = fit_pco_reinforce(s, OptimizerConfig(
+            method=METHOD_REINFORCE, step_size=math.inf, max_iters=5, seed=2))
+        assert (trace.rows, trace.converged, trace.diagnostic) == (
+            (), False, "non-finite parameters")
+        start = policy_kernels(initial_logits(s), s)
+        for lang, kern in start.items():
+            for p, row in kern.rows.items():
+                assert policy[lang].rows[p].probs.tobytes() == row.probs.tobytes()
+
     def test_two_response_single_prompt_instance(self):
         world = tiny_bilingual([0.8, 0.2], [0.4, 0.6])
         opt = closed_form_optimum(world)

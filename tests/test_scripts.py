@@ -23,6 +23,23 @@ print(callable(names[sys.argv[2]]))
 """
 
 
+# the scale probe's hashes at its default size, 4 prompts per language
+PROBE_HASHES = {
+    2: "95b406369913ba09a8409fa5c6368bba0c8e7f4aa69cf09a04aed4f6a6de6411",
+    4: "77d1dcf64566abbf4acd73b73902c2925f4ca4d0bc257e7e67397687836c30a3",
+}
+STAGES = ("generate", "to_dict", "from_dict", "optimum", "evaluate", "run_checks",
+          "minimality", "fit_dco")
+
+
+def _probe(cwd, *args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
 def _golden_state():
     return {p: p.read_bytes() for p in sorted(GOLDEN.rglob("*")) if p.is_file()}
 
@@ -46,18 +63,20 @@ def test_script_imports_its_pipeline_without_pythonpath(tmp_path, script, pipeli
 
 def test_scale_probe_prints_a_stable_hash(tmp_path):
     # two processes, started as the docstring says, hash the same outputs
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    runs = []
-    for _ in range(2):
-        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"),
-                               "--langs", "2", "4"], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        runs.append([json.loads(line) for line in done.stdout.splitlines()])
-    first, second = runs
-    assert [r["langs"] for r in first] == [2, 4]
+    first, second = (_probe(tmp_path, "--langs", "2", "4") for _ in range(2))
+    assert [(r["langs"], r["prompts"]) for r in first] == [(2, 4), (4, 4)]
     assert [r["sha256"] for r in first] == [r["sha256"] for r in second]
+    assert [r["sha256"] for r in first] == [PROBE_HASHES[2], PROBE_HASHES[4]]
     for r in first:
-        assert all(r[f"{stage}_s"] > 0 for stage in ("optimum", "evaluate", "run_checks",
-                                                        "minimality", "fit_dco"))
+        assert all(r[f"{stage}_s"] > 0 for stage in STAGES)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scale_probe_takes_the_prompt_count(tmp_path):
+    (default,) = _probe(tmp_path, "--langs", "2", "--prompts", "4")
+    (wide,) = _probe(tmp_path, "--langs", "2", "--prompts", "8")
+    assert default["sha256"] == PROBE_HASHES[2]
+    assert (wide["langs"], wide["prompts"]) == (2, 8)
+    assert wide["sha256"] != default["sha256"]
+    assert all(wide[f"{stage}_s"] > 0 for stage in STAGES)
     assert list(tmp_path.iterdir()) == []
