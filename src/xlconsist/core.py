@@ -198,13 +198,13 @@ def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("log-weights must be finite or -inf")
     if (lp.max(axis=1) == -math.inf).any():
         raise ValueError("all log-weights are -inf")
-    return normalize_rows(lp)
-
-
-def normalize_rows(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`anneal_rows` at T = 1 less its checks, for rows with a finite maximum and no
-    NaN: such a row less its log-sum-exp stays at or below 0, so only normalization can fail."""
     lp = lp - logsumexp_rows(lp)[:, None]
+    return check_normalized(lp)
+
+
+def check_normalized(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lp, exp(lp))`` for rows with a finite maximum and no NaN less their log-sum-exp,
+    which stay at or below 0: of ``LogDist.from_logp``'s checks only normalization is left."""
     total = logsumexp_rows(lp)
     off = ~(np.abs(total) <= NORMALIZATION_TOL)
     if off.any():

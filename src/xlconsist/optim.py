@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from xlconsist.core import StochasticKernel, logsumexp_rows, normalize_rows, require_int
+from xlconsist.core import StochasticKernel, check_normalized, logsumexp_rows, require_int
 from xlconsist.objectives import (
     LogitTable,
     dco_loss,
@@ -121,7 +121,7 @@ def _start(scenario: Scenario):
 
 def _softmax(zs: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """(logp, probs) stacks of finite scores, with the bits of ``LogDist.from_logp``."""
-    return tuple(zip(*(normalize_rows(z) for z in zs)))
+    return tuple(zip(*(check_normalized(z - logsumexp_rows(z)[:, None]) for z in zs)))
 
 
 def _max_tv(ps, qs) -> float:
