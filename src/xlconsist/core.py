@@ -203,8 +203,7 @@ def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def check_normalized(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(lp, exp(lp))`` for rows with a finite maximum and no NaN less their log-sum-exp,
-    which stay at or below 0: of ``LogDist.from_logp``'s checks only normalization is left."""
+    """``(lp, exp(lp))`` of rows less their finite log-sum-exp: only normalization can fail."""
     total = logsumexp_rows(lp)
     off = ~(np.abs(total) <= NORMALIZATION_TOL)
     if off.any():

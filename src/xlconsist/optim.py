@@ -177,8 +177,7 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
 
     if loss == 0.0:
         # already at the targets: nothing to iterate
-        trace.append(TraceRow(0, loss, tv_opt, 0, 0.0))
-        return _table(supports, groups, z), TrainTrace(tuple(trace), True)
+        return _table(supports, groups, z), TrainTrace((TraceRow(0, loss, tv_opt, 0, 0.0),), True)
 
     for it in range(1, config.max_iters + 1):
         proposal = []
@@ -235,9 +234,8 @@ def fit_dco(scenario: Scenario, config: OptimizerConfig) -> tuple[LogitTable, Tr
 
 def _score_step(z: np.ndarray, targets: np.ndarray, rows: list[int], u: np.ndarray,
                 step: float, offsets: np.ndarray, lp: np.ndarray | None = None) -> None:
-    """One score-function update, in place, of the distinct ``rows`` of ``z``
-    (log-probabilities ``lp`` if known), row i drawing its roll-outs from the
-    uniforms ``u[i]``; ``offsets[i]`` is ``i * z.shape[1]``."""
+    """One score-function update, in place, of the distinct ``rows`` of ``z`` (log-probabilities
+    ``lp`` if known), row i drawing roll-outs from ``u[i]``; ``offsets[i] = i * z.shape[1]``."""
     (n, rollouts), c = u.shape, z.shape[1]
     row = z[rows]
     if lp is None:
@@ -302,8 +300,7 @@ def fit_pco_reinforce(
         slot_prompt = prior_sup[lang_at, (prior_cum[lang_at] <= u[:, 1:2]).sum(axis=1)]
         # (draw number, length group) -> (slots, rows); a prompt's k-th draw
         # is keyed after its (k-1)-th, so each group's waves run in order
-        waves: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        drawn: dict[int, int] = {}
+        waves, drawn = {}, {}
         for b, p in enumerate(slot_prompt.tolist()):
             k = drawn[p] = drawn.get(p, -1) + 1
             g, r = where[p]
