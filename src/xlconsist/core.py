@@ -7,7 +7,9 @@ Conventions used throughout the package:
 - A distribution stores its support as a sorted tuple of IDs together with
   linear probabilities (the canonical serialized form) and natural-log
   probabilities (the arithmetic form).  Exact zeros are represented as
-  ``-inf`` log-probabilities, never clamped away silently.
+  ``-inf`` log-probabilities, never clamped away silently.  Every
+  constructor checks this but ``LogDist.trusted``, which only the scenario
+  loader calls, after checking its rows in bulk.
 - ``LOG_EPS`` is the smoothing floor used where an operation explicitly
   calls for flooring (Monte-Carlo smoothing, regression targets built from
   zero-mass round trips).  It is *not* applied during ordinary
@@ -81,7 +83,8 @@ class LogDist:
 
     ``probs`` is the canonical stored vector (bit-exact through
     serialization); ``logp`` is derived once and used for arithmetic.
-    The support is sorted ascending and free of duplicates.
+    The support is sorted ascending and free of duplicates; only
+    :meth:`trusted`, the scenario loader's, skips checking all this.
     """
 
     support: tuple[int, ...]
@@ -106,6 +109,13 @@ class LogDist:
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "logp", logp)
+
+    @classmethod
+    def trusted(cls, support: tuple[int, ...], probs: np.ndarray, logp: np.ndarray) -> "LogDist":
+        """Skips ``__post_init__``: only for the scenario loader, which checks in bulk."""
+        d = object.__new__(cls)
+        d.__dict__.update(support=support, probs=probs, logp=logp)
+        return d
 
     @classmethod
     def from_probs(cls, support: Iterable[int], probs: Sequence[float]) -> "LogDist":
@@ -179,9 +189,10 @@ def anneal(d: LogDist, temp: Temperature | float) -> LogDist:
     return LogDist(d.support, probs[0], logp[0])
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """:func:`logsumexp` of each row of (n, k) ``a``, same bits; rows need a finite max."""
-    m = a.max(axis=1)
+def logsumexp_rows(a: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """:func:`logsumexp` of each row of (n, k) ``a``, same bits; rows need a
+    finite max, which ``m`` gives when the caller has it."""
+    m = a.max(axis=1) if m is None else m
     sums = np.exp(a - m[:, None]).sum(axis=1)
     return m + np.array([math.log(s) for s in sums.tolist()])
 
@@ -194,11 +205,12 @@ def anneal_rows(logp: np.ndarray, temps: np.ndarray) -> tuple[np.ndarray, np.nda
     if bad.any():
         raise ValueError(f"temperature must be positive, got {float(temps[bad][0])}")
     lp = temps[:, None] * logp
-    if not (lp < math.inf).all():  # NaN or +inf
+    m = lp.max(axis=1)
+    if not (m < math.inf).all():  # a NaN or +inf anywhere in a row is its max
         raise ValueError("log-weights must be finite or -inf")
-    if (lp.max(axis=1) == -math.inf).any():
+    if (m == -math.inf).any():
         raise ValueError("all log-weights are -inf")
-    lp = lp - logsumexp_rows(lp)[:, None]
+    lp = lp - logsumexp_rows(lp, m)[:, None]
     return check_normalized(lp)
 
 
@@ -477,30 +489,46 @@ def f_divergence(spec: DivergenceSpec, p: LogDist, q: LogDist) -> float:
     return float(rows[0])
 
 
-def f_divergence_rows(
-    kind: str, p: np.ndarray, p_logp: np.ndarray, q_probs: np.ndarray, q_logp: np.ndarray
-) -> np.ndarray:
-    """D_f(p_i || q_i) for each row i of (n, k) arrays over a shared support.
+def f_divergence_rows(kind: str, p: np.ndarray, p_logp: np.ndarray, q_probs: np.ndarray,
+                      q_logp: np.ndarray, direct: tuple | None = None) -> np.ndarray:
+    """D_f(p_i || q_i) for each row i of (n, k) arrays over a shared support;
+    ``direct``, when given, is :func:`direct_side` of ``p``, made once for many ``q``.
 
     A masked sum runs over a contiguous row of only the unmasked terms, so
     it gives the bits of a 1-D sum; zero padding would regroup numpy's
     pairwise sum."""
-    DivergenceSpec(kind)  # rejects an unknown kind
+    p_zero, groups = direct or direct_side(kind, p, p_logp)
     if kind == "total-variation":
         return np.maximum(0.5 * np.abs(p - q_probs).sum(axis=1), 0.0)
-    p_zero, q_zero = p == 0, q_probs == 0
+    q_zero = q_probs == 0
     infinite = (p_zero & ~q_zero if kind == "reverse-kl" else q_zero & ~p_zero).any(axis=1)
-    mask = ~p_zero if kind == "forward-kl" else ~q_zero
-    val = np.full(len(p), INFINITE_DIVERGENCE)
-    counts = mask.sum(axis=1)
-    for c in set(counts[~infinite].tolist()):
-        rows = ~infinite & (counts == c)
-        sel = mask & rows[:, None]
-        # a subnormal q overflows a chi-square term to +inf, the right value
-        with np.errstate(over="ignore", divide="ignore"):
-            terms = _TERMS[kind](p[sel], p_logp[sel], q_probs[sel], q_logp[sel])
-        val[rows] = terms.reshape(int(rows.sum()), c).sum(axis=1)
+    val = np.empty(len(p))
+    # a subnormal q overflows a chi-square term to +inf, the right value; an
+    # infinite row's terms are +inf or finite, and its value is replaced
+    with np.errstate(over="ignore", divide="ignore"):
+        for rows, sel, p_t, p_logp_t in groups or _term_groups(~q_zero, p, p_logp):
+            q_t, q_logp_t = q_probs[sel].reshape(p_t.shape), q_logp[sel].reshape(p_t.shape)
+            val[rows] = _TERMS[kind](p_t, p_logp_t, q_t, q_logp_t).sum(axis=1)
+    val[infinite] = INFINITE_DIVERGENCE
     return np.maximum(val, 0.0)
+
+
+def direct_side(kind: str, p: np.ndarray, p_logp: np.ndarray) -> tuple:
+    """What :func:`f_divergence_rows` reads of ``p`` alone: its zeros, and its
+    terms where they sit at p's positive entries (forward KL)."""
+    DivergenceSpec(kind)  # rejects an unknown kind
+    p_zero = p == 0
+    return p_zero, _term_groups(~p_zero, p, p_logp) if kind == "forward-kl" else None
+
+
+def _term_groups(mask: np.ndarray, p: np.ndarray, p_logp: np.ndarray) -> list:
+    """Per count c of a row's terms (``mask``): the rows, their mask, p and log p as (rows, c)."""
+    counts, groups = mask.sum(axis=1), []
+    for c in set(counts.tolist()):
+        rows = np.flatnonzero(counts == c)
+        sel = mask & (counts == c)[:, None]
+        groups.append((rows, sel, p[sel].reshape(rows.size, c), p_logp[sel].reshape(rows.size, c)))
+    return groups
 
 
 def forward_kl(p: LogDist, q: LogDist) -> float:

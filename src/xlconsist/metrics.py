@@ -35,6 +35,7 @@ from xlconsist.core import (
     _rows_for,
     anneal,
     anneal_rows,
+    direct_side,
     entropy,
     f_divergence_rows,
     raise_first,
@@ -115,21 +116,26 @@ def _lockstep(sides: list, fixed_ts: list, grid: np.ndarray,
     direct rows, then of the trips, all over supports of one length."""
     direct_p, direct_logp, trip_p, trip_logp = sides
 
-    def score(rows, temps):
-        q_logp, q_probs = trip_logp[rows], trip_p[rows]
+    def score(at_rows, temps):
+        p, p_logp, direct, q_probs, q_logp = at_rows
         hot = temps != 1.0  # anneal returns its input unchanged at T = 1
         if hot.all():
             q_logp, q_probs = anneal_rows(q_logp, temps)
-        elif hot.any():
+        elif hot.any():  # on copies: the running trips are state
+            q_logp, q_probs = q_logp.copy(), q_probs.copy()
             q_logp[hot], q_probs[hot] = anneal_rows(q_logp[hot], temps[hot])
-        return f_divergence_rows(spec.kind, direct_p[rows], direct_logp[rows], q_probs, q_logp)
+        return f_divergence_rows(spec.kind, p, p_logp, q_probs, q_logp, direct)
+
+    def rows_of(at):  # the direct side is made once for each set of rows
+        p, p_logp = direct_p[at], direct_logp[at]
+        return p, p_logp, direct_side(spec.kind, p, p_logp), trip_p[at], trip_logp[at]
 
     def each(f, x):  # math.exp and math.log: numpy's differ in last bits
         return np.array([f(v) for v in x.tolist()])
 
     searched, temps = np.array([t is None for t in fixed_ts]), np.array(fixed_ts, dtype=object)
     counts, rows = np.where(searched, grid.size, 1), np.flatnonzero(searched)
-    values = score(np.repeat(np.arange(len(fixed_ts)), counts),
+    values = score(rows_of(np.repeat(np.arange(len(fixed_ts)), counts)),
                    np.concatenate([grid if t is None else [t] for t in fixed_ts], dtype=float))
     found = values[np.cumsum(counts) - 1]  # each direction's last value: a fixed one's stands
     if rows.size:
@@ -139,19 +145,21 @@ def _lockstep(sides: list, fixed_ts: list, grid: np.ndarray,
         c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
         fc, fd, best_x = np.full((3, rows.size), math.nan)  # best_x: log-T of a refined best
         if (go := np.flatnonzero(b - a > 0)).size:
-            fc[go], fd[go] = score(np.tile(rows[go], 2),
+            fc[go], fd[go] = score(rows_of(np.tile(rows[go], 2)),
                                    each(math.exp, np.concatenate((c[go], d[go])))).reshape(2, -1)
         best, at, xs = values[np.arange(rows.size), k], np.arange(rows.size), best_x.copy()
+        running = rows_of(rows)
         while at.size:
             if not (keep := b - a > 1e-6).all():  # the finished leave; their bests are kept
                 found[rows[at]], xs[at] = best, best_x
                 a, b, c, d, fc, fd, best, best_x, at = (
                     v[keep] for v in (a, b, c, d, fc, fd, best, best_x, at))
+                running = rows_of(rows[at])
                 continue
             left = fc <= fd
             a, b = np.where(left, a, c), np.where(left, d, b)
             x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-            fx = score(rows[at], each(math.exp, x))
+            fx = score(running, each(math.exp, x))
             c, d = np.where(left, x, d), np.where(left, c, x)
             fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
             for y, fy in ((c, fc), (d, fd)):  # c first, and only a strict gain counts

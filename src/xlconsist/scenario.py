@@ -29,7 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from xlconsist.core import LogDist, StochasticKernel, StructuralError
+from xlconsist.core import (NORMALIZATION_TOL, LogDist, StochasticKernel, StructuralError,
+                            logsumexp_rows)
 
 SCHEMA_VERSION = "1"
 
@@ -597,7 +598,8 @@ def _new(key, seen, where: str):
     return key
 
 
-def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
+def _probs(support: Sequence[int], probs: list, where: str) -> list:
+    """``probs``, refused unless they are numbers, one per ID, adding up to 1 in order."""
     if not all(type(x) in (int, float) for x in probs):
         raise ScenarioFormatError(f"{where}: probs must be numbers")
     if len(support) != len(probs):
@@ -607,10 +609,51 @@ def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
         total += x
     if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise ScenarioFormatError(f"{where}: probabilities sum to {total!r}, not 1")
+    return probs
+
+
+def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
+    probs = _probs(support, probs, where)
     try:
         return LogDist.from_probs(tuple(sorted(support)), probs)
     except (ValueError, StructuralError) as err:
         raise ScenarioFormatError(f"{where}: {err}") from err
+
+
+class _Rows(dict):
+    """Rows by key as ``(support, probs, where)`` after their schema checks, in
+    document order.  An error leaving the ``with`` block comes after theirs."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, error, *_):
+        if error:
+            self.dists()
+
+    def dists(self) -> dict[int, LogDist]:
+        """The rows, checked in bulk as ``LogDist`` checks each (normalization by
+        ``logsumexp_rows`` per length, with ``logsumexp``'s bits); the first
+        failing row raises its error through :func:`_row_dist`."""
+        rows = list(self.values())
+        sups = {sup: tuple(sorted(sup)) for sup, _, _ in rows}
+        dup = {sup: len(set(s)) < len(s) for sup, s in sups.items()}
+        bad = np.array([dup[sup] for sup, _, _ in rows], dtype=bool)
+        lens = np.array([len(probs) for _, probs, _ in rows], dtype=int)
+        ends = np.cumsum(lens)
+        probs = np.array([x for _, row, _ in rows for x in row], dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.log(probs)  # no row is empty, so reduceat sees each alone
+            bad |= np.logical_or.reduceat((probs < 0) | (logp > 1e-12), ends - lens)
+            for k in set(lens.tolist()):
+                at = np.flatnonzero(lens == k)
+                total = logsumexp_rows(logp[(ends[at] - k)[:, None] + np.arange(k)])
+                bad[at] |= ~(np.abs(total) <= NORMALIZATION_TOL)
+        for i in np.flatnonzero(bad).tolist():
+            _row_dist(*rows[i])
+        probs.flags.writeable = logp.flags.writeable = False
+        return {key: LogDist.trusted(sups[sup], probs[e - k:e], logp[e - k:e])
+                for (key, (sup, _, _)), k, e in zip(self.items(), lens.tolist(), ends.tolist())}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -653,15 +696,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
         m = _new(_need(entry, "lang", "ref_kernels", _id), ref, "ref_kernels language")
         if m not in range(n):
             raise ScenarioFormatError(f"ref_kernels: unknown language {m}")
-        rows = {}
-        for r in _need(entry, "rows", f"ref_kernels[{m}]", _list):
-            p = _new(_need(r, "prompt", "ref row", _id), rows, f"ref_kernels[{m}] prompt")
-            sup = spaces[m].candidates.get(p)
-            if sup is None:
-                raise ScenarioFormatError(f"ref_kernels[{m}]: unknown prompt {p}")
-            where = f"ref_kernels[{m}] prompt {p}"
-            rows[p] = _row_dist(sup, _need(r, "probs", where, _list), where)
-        ref[m] = StochasticKernel(domain=m, codomain=m, rows=rows)
+        with _Rows() as rows:
+            for r in _need(entry, "rows", f"ref_kernels[{m}]", _list):
+                p = _new(_need(r, "prompt", "ref row", _id), rows, f"ref_kernels[{m}] prompt")
+                sup = spaces[m].candidates.get(p)
+                if sup is None:
+                    raise ScenarioFormatError(f"ref_kernels[{m}]: unknown prompt {p}")
+                where = f"ref_kernels[{m}] prompt {p}"
+                rows[p] = sup, _probs(sup, _need(r, "probs", where, _list), where), where
+        ref[m] = StochasticKernel(domain=m, codomain=m, rows=rows.dists())
 
     translators = {}
     for entry in _need(doc, "translators", "document", _list):
@@ -671,30 +714,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioFormatError(f"translators: unknown pair ({a},{b})")
         _new((a, b), translators, "translators pair")
         pmap = alignment.prompt_map(a, b)
-        rows = {}
-        for r in _need(entry, "rows", f"translator ({a},{b})", _list):
-            i = _new(_need(r, "id", "translator row", _id), rows, f"translator ({a},{b}) row")
-            where = f"translator ({a},{b}) row {i}"
-            if i in spaces[a].candidates:  # prompt-level row
-                sup: Sequence[int] = spaces[b].prompts
-            else:
-                p_a = owner[a].get(i)
-                if p_a is None:
-                    raise ScenarioFormatError(f"{where}: ID not in source language")
-                sup = spaces[b].candidates.get(pmap.get(p_a))
-                if sup is None:
-                    raise ScenarioFormatError(f"{where}: alignment prompt_pairs aligns prompt "
-                                              f"{p_a} with no prompt of language {b}")
-            rows[i] = _row_dist(sup, _need(r, "probs", where, _list), where)
-        translators[(a, b)] = StochasticKernel(domain=a, codomain=b, rows=rows)
+        with _Rows() as rows:
+            for r in _need(entry, "rows", f"translator ({a},{b})", _list):
+                i = _new(_need(r, "id", "translator row", _id), rows, f"translator ({a},{b}) row")
+                where = f"translator ({a},{b}) row {i}"
+                if i in spaces[a].candidates:  # prompt-level row
+                    sup: Sequence[int] = spaces[b].prompts
+                else:
+                    p_a = owner[a].get(i)
+                    if p_a is None:
+                        raise ScenarioFormatError(f"{where}: ID not in source language")
+                    sup = spaces[b].candidates.get(pmap.get(p_a))
+                    if sup is None:
+                        raise ScenarioFormatError(f"{where}: alignment prompt_pairs aligns "
+                                                  f"prompt {p_a} with no prompt of language {b}")
+                rows[i] = sup, _probs(sup, _need(r, "probs", where, _list), where), where
+        translators[(a, b)] = StochasticKernel(domain=a, codomain=b, rows=rows.dists())
 
-    priors = {}
-    for entry in _need(doc, "priors", "document", _list):
-        m = _new(_need(entry, "lang", "priors", _id), priors, "priors language")
-        if m not in range(n):
-            raise ScenarioFormatError(f"priors: unknown language {m}")
-        priors[m] = _row_dist(spaces[m].prompts, _need(entry, "probs", f"priors[{m}]", _list),
-                              f"priors[{m}]")
+    with _Rows() as priors:
+        for entry in _need(doc, "priors", "document", _list):
+            m = _new(_need(entry, "lang", "priors", _id), priors, "priors language")
+            if m not in range(n):
+                raise ScenarioFormatError(f"priors: unknown language {m}")
+            sup, where = spaces[m].prompts, f"priors[{m}]"
+            priors[m] = sup, _probs(sup, _need(entry, "probs", where, _list), where), where
 
     st = _need(doc, "strengths", "document")
     u, v = _need(st, "u", "strengths", _list), _need(st, "v", "strengths", _list)
@@ -706,7 +749,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except (TypeError, ValueError) as err:
         raise ScenarioFormatError(f"strengths: {err}") from err
 
-    return Scenario(spaces, alignment, ref, translators, priors, strengths, seed)
+    return Scenario(spaces, alignment, ref, translators, priors.dists(), strengths, seed)
 
 
 def load(path: str | Path) -> Scenario:

@@ -7,10 +7,12 @@ type.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scalar_search_oracle as oracle
+from conftest import tiny_bilingual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from xlconsist.core import (
     anneal_rows,
     f_divergence,
     f_divergence_rows,
+    round_trip,
 )
 from xlconsist import metrics
 from xlconsist.metrics import DEFAULT_T_GRID, _search
@@ -314,3 +317,45 @@ def test_lockstep_directions_leave_at_different_steps(block, monkeypatch):
                 assert want[1] > DEFAULT_T_GRID[-2]
             if kind == "forward-kl" and label == "interior":
                 assert abs(want[1] - 3.7) < 1e-3
+
+
+@pytest.mark.parametrize("logp, temps, message", [
+    # a NaN row before an all -inf row: the finite check covers the stack first
+    ([[0.0, math.nan], [-math.inf, -math.inf]], [1.0, 1.0], "log-weights must be finite or -inf"),
+    # an all -inf row before a +inf row: still the finite check
+    ([[-math.inf, -math.inf], [0.0, math.inf]], [1.0, 1.0], "log-weights must be finite or -inf"),
+    # a non-positive temperature comes before any row, the first one named
+    ([[0.0, math.nan], [0.0, -1.0]], [2.0, 0.0], "temperature must be positive, got 0.0"),
+    ([[0.0, -1.0], [math.nan, 0.0]], [-1.0, 2.0], "temperature must be positive, got -1.0"),
+    ([[math.nan, 0.0], [0.0, -1.0]], [1.0, math.nan], "temperature must be positive, got nan"),
+])
+def test_anneal_rows_raises_the_first_check_that_fails(logp, temps, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        anneal_rows(np.array(logp), np.array(temps))
+
+
+def test_infimum_outside_the_grid_on_each_side():
+    """A world whose two directions have their infimum below 1e-3 and above
+    1e3: the search refines inward from the grid's end, so it reports a
+    temperature within one grid step of that end, with the scalar bits."""
+    world = tiny_bilingual([0.5001, 0.4999], [0.9, 0.1])
+    spec = DivergenceSpec("forward-kl")
+    report = metrics.check_consistency(dict(world.ref), world.translators, (0, 1), (0, 10))
+    sides = [(world.ref[0].row(0), round_trip(world.translator(0, 1), world.ref[1],
+                                              world.translator(1, 0), 0)),
+             (world.ref[1].row(10), round_trip(world.translator(1, 0), world.ref[0],
+                                               world.translator(0, 1), 10))]
+    got = [(report.divergence_1, report.best_T1), (report.divergence_2, report.best_T2)]
+    for (direct, trip), (value, t), end in zip(sides, got, (0, -1)):
+        want_value, want_t, _ = oracle._directional_divergence(direct, trip, spec,
+                                                               DEFAULT_T_GRID, None)
+        assert (value.hex(), t.hex()) == (want_value.hex(), want_t.hex())
+        # the best temperature lies within one grid step of the grid's end ...
+        assert min(t, DEFAULT_T_GRID[end]) / max(t, DEFAULT_T_GRID[end]) >= \
+            DEFAULT_T_GRID[0] / DEFAULT_T_GRID[1]
+        # ... while the divergence goes on falling beyond it, to 0 at the
+        # temperature that maps one log-odds onto the other
+        odds = [math.log(d.probs[0] / d.probs[1]) for d in (direct, trip)]
+        inside = oracle.f_divergence(spec, direct, oracle.anneal(trip, odds[0] / odds[1]))
+        assert inside < value
+        assert odds[0] / odds[1] < 1e-3 if end == 0 else odds[0] / odds[1] > 1e3

@@ -21,7 +21,7 @@ import struct
 import numpy as np
 import pytest
 
-from xlconsist.core import logsumexp_rows
+from xlconsist.core import logsumexp, logsumexp_rows
 from xlconsist.metrics import _INV_PHI, DEFAULT_T_GRID
 
 
@@ -336,3 +336,27 @@ def test_positive_part_by_where_is_max_with_zero():
     want = np.array([max(0.0, x) for x in xs])
     assert np.where(a > 0.0, a, 0.0).tobytes() == want.tobytes()
     assert np.maximum(0.0, a).tobytes() != want.tobytes()
+
+
+def test_row_logsumexp_equals_one_row_logsumexp():
+    # the scenario loader checks each row's normalization in rows of one length
+    for n, k in ((1, 1), (3, 4), (66, 6), (40, 17), (9, 257)):
+        a = _rows(n, k, seed=3 * n + k)
+        a[:, 0] = np.maximum(a[:, 0], -1.0)  # a finite max in every row
+        a[a < -60] = -math.inf
+        want = np.array([logsumexp(r) for r in a])
+        assert logsumexp_rows(a).tobytes() == want.tobytes(), (n, k)
+
+
+def test_row_max_is_nan_or_inf_where_the_row_holds_one():
+    # anneal_rows reads NaN and +inf in any row from that row's max alone
+    for k in (1, 2, 5, 8, 17, 64, 257):
+        for bad in (math.nan, math.inf):
+            a = np.tile(_rows(1, k, seed=k), (k, 1))
+            a[0, 1:] = -math.inf
+            a[np.arange(k), np.arange(k)] = bad
+            got = a.max(axis=1)
+            assert (np.isnan(got) if math.isnan(bad) else got == math.inf).all(), (k, bad)
+            a[:, :] = -math.inf
+            a[np.arange(k), np.arange(k)] = math.nan
+            assert np.isnan(a.max(axis=1)).all(), k

@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from xlconsist.cli import main
 from xlconsist.core import (
     LogDist,
     StochasticKernel,
@@ -327,3 +329,104 @@ class TestSerialization:
         with pytest.raises(ScenarioFormatError, match="aligns prompt 0 with no prompt of "
                                                       "language 1$"):
             load(path)
+
+
+def _spoiled(doc, where, probs):
+    """``doc`` with the probabilities at ``where`` replaced."""
+    if where == "prior":
+        doc["priors"][1]["probs"] = probs
+    elif where == "reference row":
+        doc["ref_kernels"][0]["rows"][1]["probs"] = probs
+    else:
+        row = doc["translators"][0]["rows"][1 if where == "prompt-level row" else 6]
+        row["probs"] = probs
+    return doc
+
+
+def _repeated(doc, where):
+    """``doc`` with an ID listed twice in one row's support."""
+    langs = doc["languages"]
+    if where == "reference row":
+        langs[0]["prompts"][1]["candidates"][1] = langs[0]["prompts"][1]["candidates"][0]
+        return doc
+    prompts = langs[1]["prompts"]
+    gone = prompts[1]["id"]
+    if where == "candidate-level row":  # a candidate of the prompt aligned with prompt 1
+        gone = next(b for a, b in doc["alignment"]["prompt_pairs"] if a == 1)
+        cands = next(p for p in prompts if p["id"] == gone)["candidates"]
+        cands[1] = cands[0]
+    else:  # a prompt of language 1 listed twice
+        prompts[1] = prompts[0]
+    # language 1's reference row for the changed prompt would fail first
+    doc["ref_kernels"][1]["rows"] = [r for r in doc["ref_kernels"][1]["rows"]
+                                     if r["prompt"] != gone]
+    if where == "prior":
+        doc["translators"] = []
+    return doc
+
+
+LOCATIONS = {
+    "reference row": "ref_kernels[0] prompt 1",
+    "prompt-level row": "translator (0,1) row 1",
+    "candidate-level row": "translator (0,1) row 6",
+    "prior": "priors[1]",
+}
+
+
+class TestRowErrorsThroughFiles:
+    """The loader checks rows in bulk; each row error must still name its
+    row, with ``LogDist``'s message, the first in document order winning."""
+
+    @pytest.mark.parametrize("where", LOCATIONS)
+    @pytest.mark.parametrize("probs, message", [
+        ([1.5, -0.5, 0.0, 0.0], "negative probability"),
+        ([1.0 + 5e-10, 0.0, 0.0, 0.0], "log-probability above 0"),
+    ])
+    def test_sign_and_log_errors_name_the_row(self, tmp_path, where, probs, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_spoiled(scenario_to_dict(generate(BIJ)), where, probs)))
+        with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(LOCATIONS[where])}: "
+                                                      rf"{message}$"):
+            load(path)
+
+    @pytest.mark.parametrize("where, row", [
+        ("reference row", "ref_kernels[0] prompt 1"),
+        # every row of the translator has the support; the first one fails
+        ("prompt-level row", "translator (0,1) row 0"),
+        ("candidate-level row", "translator (0,1) row 4"),
+        ("prior", "priors[1]"),
+    ])
+    def test_repeated_ids_name_the_first_row_with_them(self, tmp_path, where, row):
+        doc = _repeated(scenario_to_dict(generate(BIJ)), where)
+        if where == "candidate-level row":  # the rows of the prompt aligned with prompt 1
+            row = f"translator (0,1) row {min(doc['languages'][0]['prompts'][1]['candidates'])}"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(row)}: support must be "
+                                                      r"sorted and unique: \(\d+, \d+"):
+            load(path)
+
+    def test_an_earlier_row_error_wins_over_a_later_schema_error(self, tmp_path):
+        doc = scenario_to_dict(generate(BIJ))
+        rows = doc["translators"][0]["rows"]
+        rows[2]["probs"] = [1.5, -0.5, 0.0, 0.0]
+        del rows[9]["probs"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=r"^translator \(0,1\) row 2: negative"):
+            load(path)
+        # and a schema error in an earlier row wins over a later row's own
+        rows[2]["probs"], rows[9]["probs"] = "x", [1.5, -0.5, 0.0, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=r"^translator \(0,1\) row 2 probs: "
+                                                      "expected a list$"):
+            load(path)
+
+    def test_eval_exits_one_naming_the_row(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_spoiled(scenario_to_dict(generate(BIJ)), "prior",
+                                            [1.5, -0.5, 0.0, 0.0])))
+        assert main(["eval", "--scenario", str(path), "--policy", "ref",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert "priors[1]: negative probability" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
