@@ -28,7 +28,7 @@ from xlconsist.core import (
     round_trip,
 )
 from xlconsist import metrics
-from xlconsist.metrics import DEFAULT_T_GRID, _search
+from xlconsist.metrics import _INV_PHI, DEFAULT_T_GRID, _search
 
 STYLES = ("dense", "zeros", "point", "heavy")
 FIXED = (1.0, 0.5, 3.7, 1e-3, 1e3, 0.0, -1.0, math.nan)
@@ -359,3 +359,21 @@ def test_infimum_outside_the_grid_on_each_side():
         inside = oracle.f_divergence(spec, direct, oracle.anneal(trip, odds[0] / odds[1]))
         assert inside < value
         assert odds[0] / odds[1] < 1e-3 if end == 0 else odds[0] / odds[1] > 1e3
+
+
+def test_a_step_at_unit_temperature_keeps_the_other_trips():
+    """On this grid the first golden-section step of the first direction
+    lands on log-temperature 0.0, T = 1, which is scored without annealing,
+    while the second direction anneals in the same step: that must not
+    write into the trip rows the search keeps for its later steps."""
+    grid = np.array([0.5, 2.0, 9.422226266642875])
+    a, b = math.log(grid[0]), math.log(grid[2])
+    d = a + _INV_PHI * (b - a)
+    assert d - _INV_PHI * (d - a) == 0.0  # the step after the left branch
+    trip = LogDist.from_logp(tuple(range(4)), [0.0, -0.7, -1.9, -3.1])
+    pairs = [(anneal(trip, 1.2), trip), (anneal(trip, 5.0), trip)]
+    for kind in DIVERGENCE_KINDS:
+        spec = DivergenceSpec(kind)
+        found = _search_pairs(pairs, spec, grid, [None, None])
+        want = [_scalar(oracle._directional_divergence, d, t, spec, grid, None) for d, t in pairs]
+        assert [_outcome(lambda: w) for w in want] == [_outcome(lambda: f) for f in found]
