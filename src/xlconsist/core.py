@@ -492,7 +492,7 @@ def f_divergence(spec: DivergenceSpec, p: LogDist, q: LogDist) -> float:
 def f_divergence_rows(kind: str, p: np.ndarray, p_logp: np.ndarray, q_probs: np.ndarray,
                       q_logp: np.ndarray, direct: tuple | None = None) -> np.ndarray:
     """D_f(p_i || q_i) for each row i of (n, k) arrays over a shared support;
-    ``direct``, when given, is :func:`direct_side` of ``p``, made once for many ``q``.
+    ``direct`` is :func:`direct_side` of ``p`` where the caller made it once.
 
     A masked sum runs over a contiguous row of only the unmasked terms, so
     it gives the bits of a 1-D sum; zero padding would regroup numpy's
@@ -506,19 +506,18 @@ def f_divergence_rows(kind: str, p: np.ndarray, p_logp: np.ndarray, q_probs: np.
     # a subnormal q overflows a chi-square term to +inf, the right value; an
     # infinite row's terms are +inf or finite, and its value is replaced
     with np.errstate(over="ignore", divide="ignore"):
-        for rows, sel, p_t, p_logp_t in groups or _term_groups(~q_zero, p, p_logp):
-            q_t, q_logp_t = q_probs[sel].reshape(p_t.shape), q_logp[sel].reshape(p_t.shape)
-            val[rows] = _TERMS[kind](p_t, p_logp_t, q_t, q_logp_t).sum(axis=1)
+        for rows, sel, *p_terms in groups or _term_groups(~q_zero, p, p_logp):
+            q_terms = (q[sel].reshape(p_terms[0].shape) for q in (q_probs, q_logp))
+            val[rows] = _TERMS[kind](*p_terms, *q_terms).sum(axis=1)
     val[infinite] = INFINITE_DIVERGENCE
     return np.maximum(val, 0.0)
 
 
 def direct_side(kind: str, p: np.ndarray, p_logp: np.ndarray) -> tuple:
-    """What :func:`f_divergence_rows` reads of ``p`` alone: its zeros, and its
-    terms where they sit at p's positive entries (forward KL)."""
+    """What :func:`f_divergence_rows` reads of ``p`` alone: its zeros, and for
+    forward KL, whose terms sit at p's positive entries, those terms."""
     DivergenceSpec(kind)  # rejects an unknown kind
-    p_zero = p == 0
-    return p_zero, _term_groups(~p_zero, p, p_logp) if kind == "forward-kl" else None
+    return p == 0, _term_groups(p != 0, p, p_logp) if kind == "forward-kl" else None
 
 
 def _term_groups(mask: np.ndarray, p: np.ndarray, p_logp: np.ndarray) -> list:

@@ -114,10 +114,7 @@ def _lockstep(sides: list, fixed_ts: list, grid: np.ndarray,
     width 1e-6, each step over the directions still running, unless fixed.
     ``sides`` holds the (n, k) probabilities and log-probabilities of the
     direct rows, then of the trips, all over supports of one length."""
-    direct_p, direct_logp, trip_p, trip_logp = sides
-
-    def score(at_rows, temps):
-        p, p_logp, direct, q_probs, q_logp = at_rows
+    def score(p, p_logp, direct, q_probs, q_logp, temps):
         hot = temps != 1.0  # anneal returns its input unchanged at T = 1
         if hot.all():
             q_logp, q_probs = anneal_rows(q_logp, temps)
@@ -127,15 +124,15 @@ def _lockstep(sides: list, fixed_ts: list, grid: np.ndarray,
         return f_divergence_rows(spec.kind, p, p_logp, q_probs, q_logp, direct)
 
     def rows_of(at):  # the direct side is made once for each set of rows
-        p, p_logp = direct_p[at], direct_logp[at]
-        return p, p_logp, direct_side(spec.kind, p, p_logp), trip_p[at], trip_logp[at]
+        p, p_logp, q_probs, q_logp = (side[at] for side in sides)
+        return p, p_logp, direct_side(spec.kind, p, p_logp), q_probs, q_logp
 
     def each(f, x):  # math.exp and math.log: numpy's differ in last bits
         return np.array([f(v) for v in x.tolist()])
 
     searched, temps = np.array([t is None for t in fixed_ts]), np.array(fixed_ts, dtype=object)
     counts, rows = np.where(searched, grid.size, 1), np.flatnonzero(searched)
-    values = score(rows_of(np.repeat(np.arange(len(fixed_ts)), counts)),
+    values = score(*rows_of(np.repeat(np.arange(len(fixed_ts)), counts)),
                    np.concatenate([grid if t is None else [t] for t in fixed_ts], dtype=float))
     found = values[np.cumsum(counts) - 1]  # each direction's last value: a fixed one's stands
     if rows.size:
@@ -145,7 +142,7 @@ def _lockstep(sides: list, fixed_ts: list, grid: np.ndarray,
         c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
         fc, fd, best_x = np.full((3, rows.size), math.nan)  # best_x: log-T of a refined best
         if (go := np.flatnonzero(b - a > 0)).size:
-            fc[go], fd[go] = score(rows_of(np.tile(rows[go], 2)),
+            fc[go], fd[go] = score(*rows_of(np.tile(rows[go], 2)),
                                    each(math.exp, np.concatenate((c[go], d[go])))).reshape(2, -1)
         best, at, xs = values[np.arange(rows.size), k], np.arange(rows.size), best_x.copy()
         running = rows_of(rows)
@@ -159,7 +156,7 @@ def _lockstep(sides: list, fixed_ts: list, grid: np.ndarray,
             left = fc <= fd
             a, b = np.where(left, a, c), np.where(left, d, b)
             x = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-            fx = score(running, each(math.exp, x))
+            fx = score(*running, each(math.exp, x))
             c, d = np.where(left, x, d), np.where(left, c, x)
             fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
             for y, fy in ((c, fc), (d, fd)):  # c first, and only a strict gain counts

@@ -621,20 +621,16 @@ def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
 
 
 class _Rows(dict):
-    """Rows by key as ``(support, probs, where)`` after their schema checks, in
-    document order.  An error leaving the ``with`` block comes after theirs."""
+    """Rows by key as ``(support, probs, where)`` that passed :func:`_probs`, in
+    document order.  Leaving the ``with`` block, by an error too, checks them in
+    bulk as ``LogDist`` checks each (normalization by ``logsumexp_rows`` per
+    length, with ``logsumexp``'s bits) into ``dists``: the first failing row
+    raises its own error through :func:`_row_dist`, before the block's."""
 
     def __enter__(self):
         return self
 
-    def __exit__(self, error, *_):
-        if error:
-            self.dists()
-
-    def dists(self) -> dict[int, LogDist]:
-        """The rows, checked in bulk as ``LogDist`` checks each (normalization by
-        ``logsumexp_rows`` per length, with ``logsumexp``'s bits); the first
-        failing row raises its error through :func:`_row_dist`."""
+    def __exit__(self, *_):
         rows = list(self.values())
         sups = {sup: tuple(sorted(sup)) for sup, _, _ in rows}
         dup = {sup: len(set(s)) < len(s) for sup, s in sups.items()}
@@ -652,8 +648,8 @@ class _Rows(dict):
         for i in np.flatnonzero(bad).tolist():
             _row_dist(*rows[i])
         probs.flags.writeable = logp.flags.writeable = False
-        return {key: LogDist.trusted(sups[sup], probs[e - k:e], logp[e - k:e])
-                for (key, (sup, _, _)), k, e in zip(self.items(), lens.tolist(), ends.tolist())}
+        self.dists = {key: LogDist.trusted(sups[sup], probs[e - k:e], logp[e - k:e]) for
+                      (key, (sup, _, _)), k, e in zip(self.items(), lens.tolist(), ends.tolist())}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -704,7 +700,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     raise ScenarioFormatError(f"ref_kernels[{m}]: unknown prompt {p}")
                 where = f"ref_kernels[{m}] prompt {p}"
                 rows[p] = sup, _probs(sup, _need(r, "probs", where, _list), where), where
-        ref[m] = StochasticKernel(domain=m, codomain=m, rows=rows.dists())
+        ref[m] = StochasticKernel(domain=m, codomain=m, rows=rows.dists)
 
     translators = {}
     for entry in _need(doc, "translators", "document", _list):
@@ -729,7 +725,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                         raise ScenarioFormatError(f"{where}: alignment prompt_pairs aligns "
                                                   f"prompt {p_a} with no prompt of language {b}")
                 rows[i] = sup, _probs(sup, _need(r, "probs", where, _list), where), where
-        translators[(a, b)] = StochasticKernel(domain=a, codomain=b, rows=rows.dists())
+        translators[(a, b)] = StochasticKernel(domain=a, codomain=b, rows=rows.dists)
 
     with _Rows() as priors:
         for entry in _need(doc, "priors", "document", _list):
@@ -749,7 +745,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except (TypeError, ValueError) as err:
         raise ScenarioFormatError(f"strengths: {err}") from err
 
-    return Scenario(spaces, alignment, ref, translators, priors.dists(), strengths, seed)
+    return Scenario(spaces, alignment, ref, translators, priors.dists, strengths, seed)
 
 
 def load(path: str | Path) -> Scenario:

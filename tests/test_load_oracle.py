@@ -161,3 +161,30 @@ def test_mutated_files_raise_what_the_per_row_loader_raises():
     for part in ("support must be sorted", "not normalized", "appears twice", "sum to",
                  "is not an integer"):
         assert sum(n for m, n in seen.items() if part in m) >= 3, (part, seen)
+
+
+def test_a_row_error_wins_over_every_later_schema_error():
+    """A row's own error, then a schema error anywhere after it in the file:
+    the row's error is raised first, also across kernels and past the priors
+    into the strengths, which the loader reads after the last bulk check."""
+    doc = scenario_to_dict(generate(WORLDS[0]))
+    rng = random.Random(0)
+    rows = _probs_lists(doc)
+    seen = Counter()
+    for r in sorted({0, len(rows) - 1, *rng.sample(range(len(rows)), 10)}):
+        copy = json.loads(json.dumps(doc))
+        row = _probs_lists(copy)[r]
+        row[0] += 1.5
+        row[-1] -= 1.5
+        paths = _paths(copy, [])
+        after = [i for i, (c, k) in enumerate(paths) if c[k] is row][0] + 1
+        later = [i for i in range(after, len(paths)) if paths[i][1] != "probs"]
+        strengths = [i for i, (c, k) in enumerate(paths) if k in ("u", "v")]
+        for i in sorted({*strengths, *rng.sample(later, min(15, len(later)))}):
+            case = json.loads(json.dumps(copy))
+            container, key = _paths(case, [])[i]
+            container[key] = "x"
+            want = _outcome(oracle.scenario_from_dict, case)
+            assert _outcome(scenario_from_dict, case) == want, (r, i)
+            seen[want[1].endswith("negative probability")] += 1
+    assert seen[True] >= 100, seen

@@ -422,6 +422,14 @@ class TestRowErrorsThroughFiles:
                                                       "expected a list$"):
             load(path)
 
+    def test_a_prior_error_wins_over_a_strengths_error(self, tmp_path):
+        doc = _spoiled(scenario_to_dict(generate(BIJ)), "prior", [1.5, -0.5, 0.0, 0.0])
+        doc["strengths"]["u"] = "x"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=r"^priors\[1\]: negative probability$"):
+            load(path)
+
     def test_eval_exits_one_naming_the_row(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(_spoiled(scenario_to_dict(generate(BIJ)), "prior",
