@@ -332,10 +332,10 @@ def _logsumexp_runs(values: np.ndarray, *keys: np.ndarray):
     """Start, length and :func:`logsumexp` of each run of entries equal in
     every key.  The runs of one length are reduced as one (n, k) array, so
     sums of eight or more terms stay sums along contiguous rows."""
-    step = np.zeros(len(values) - 1, dtype=bool)
+    starts = np.arange(len(values)) == 0
     for key in keys:
-        step |= key[1:] != key[:-1]
-    first = np.flatnonzero(np.concatenate(([True], step)))
+        starts[1:] |= key[1:] != key[:-1]
+    first = np.flatnonzero(starts)
     counts = np.diff(np.append(first, len(values)))
     out = np.empty(len(first))
     for k in set(counts.tolist()):
@@ -377,8 +377,6 @@ def push_rows(outer: StochasticKernel, inner: RowStack, failed: dict[int, str]) 
     tag, ids, terms = tag[order], ids[order], terms[order]
     for r in set(inner.row.tolist()) - set(tag.tolist()) - failed.keys():
         failed[r] = "pushforward produced an empty distribution"
-    if not len(terms):
-        return RowStack(tag, ids, terms, terms)
     first, _, logp = _logsumexp_runs(terms, tag, ids)
     tag, ids = tag[first], ids[first]
     _, counts, z = _logsumexp_runs(logp, tag)

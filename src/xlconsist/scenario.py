@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from xlconsist.core import (NORMALIZATION_TOL, LogDist, StochasticKernel, StructuralError,
-                            logsumexp_rows)
+                            _logsumexp_runs)
 
 SCHEMA_VERSION = "1"
 
@@ -623,8 +623,8 @@ def _row_dist(support: Sequence[int], probs: list, where: str) -> LogDist:
 class _Rows(dict):
     """Rows by key as ``(support, probs, where)`` that passed :func:`_probs`, in
     document order.  Leaving the ``with`` block, by an error too, checks them in
-    bulk as ``LogDist`` checks each (normalization by ``logsumexp_rows`` per
-    length, with ``logsumexp``'s bits) into ``dists``: the first failing row
+    bulk as ``LogDist`` checks each (normalization by ``_logsumexp_runs``, with
+    ``logsumexp``'s bits) into ``dists``: the first failing row
     raises its own error through :func:`_row_dist`, before the block's."""
 
     def __enter__(self):
@@ -634,22 +634,20 @@ class _Rows(dict):
         rows = list(self.values())
         sups = {sup: tuple(sorted(sup)) for sup, _, _ in rows}
         dup = {sup: len(set(s)) < len(s) for sup, s in sups.items()}
-        bad = np.array([dup[sup] for sup, _, _ in rows], dtype=bool)
-        lens = np.array([len(probs) for _, probs, _ in rows], dtype=int)
-        ends = np.cumsum(lens)
         probs = np.array([x for _, row, _ in rows for x in row], dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.log(probs)  # no row is empty, so reduceat sees each alone
-            bad |= np.logical_or.reduceat((probs < 0) | (logp > 1e-12), ends - lens)
-            for k in set(lens.tolist()):
-                at = np.flatnonzero(lens == k)
-                total = logsumexp_rows(logp[(ends[at] - k)[:, None] + np.arange(k)])
-                bad[at] |= ~(np.abs(total) <= NORMALIZATION_TOL)
+            logp = np.log(probs)
+        # no row is empty, so each is one run
+        row_of = np.repeat(np.arange(len(rows)), [len(row) for _, row, _ in rows])
+        first, lens, total = _logsumexp_runs(logp, row_of)
+        bad = np.array([dup[sup] for sup, _, _ in rows], dtype=bool)
+        bad |= np.logical_or.reduceat((probs < 0) | (logp > 1e-12), first)
+        bad |= ~(np.abs(total) <= NORMALIZATION_TOL)
         for i in np.flatnonzero(bad).tolist():
             _row_dist(*rows[i])
         probs.flags.writeable = logp.flags.writeable = False
-        self.dists = {key: LogDist.trusted(sups[sup], probs[e - k:e], logp[e - k:e]) for
-                      (key, (sup, _, _)), k, e in zip(self.items(), lens.tolist(), ends.tolist())}
+        self.dists = {key: LogDist.trusted(sups[sup], probs[s:s + k], logp[s:s + k]) for
+                      (key, (sup, _, _)), s, k in zip(self.items(), first.tolist(), lens.tolist())}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

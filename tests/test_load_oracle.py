@@ -188,3 +188,11 @@ def test_a_row_error_wins_over_every_later_schema_error():
             assert _outcome(scenario_from_dict, case) == want, (r, i)
             seen[want[1].endswith("negative probability")] += 1
     assert seen[True] >= 100, seen
+
+
+def test_kernels_and_priors_without_rows_load_as_before():
+    doc = scenario_to_dict(generate(WORLDS[1]))
+    doc["ref_kernels"][1]["rows"], doc["translators"][2]["rows"], doc["priors"] = [], [], []
+    got = _outcome(scenario_from_dict, doc)
+    assert got == _outcome(oracle.scenario_from_dict, doc)
+    assert got[0] == "loaded"

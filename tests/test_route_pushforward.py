@@ -128,6 +128,11 @@ def test_each_failing_row_keeps_its_own_first_failure():
     assert got == {i: _outcome(oracle.pushforward, kernel, d) for i, d in enumerate(inners)}
     assert failed == {1: "pushforward produced an empty distribution",
                       2: "kernel 0->1 has no row for ID 7", 3: "kernel 0->1 has no row for ID 7"}
+    # with every row failing, no term is left: an empty stack of the same types
+    failed = {}
+    empty = core.push_rows(kernel, RowStack.of(inners[1:]), failed)
+    assert [(a.dtype, a.shape) for a in empty] == [(np.int64, (0,))] * 2 + [(float, (0,))] * 2
+    assert sorted(failed) == [0, 1, 2]
 
 
 WORLDS = {
