@@ -137,9 +137,9 @@ def cmd_gen(args) -> int:
             v=_parse_vector(args.v, args.langs, "v"),
             seed=args.seed,
         )
+        scenario = generate(config)  # raises if a row's gamma draws underflow or overflow
     except ValueError as err:
         raise CliError(str(err))
-    scenario = generate(config)
     out = Path(args.out)
     save(scenario, out)
     _write_manifest(out, "gen", _config_of(args) | {"translator_mode": mode, "noise": delta},

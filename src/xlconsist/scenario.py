@@ -12,6 +12,9 @@ correspondence between languages lives exclusively in the alignment
 tuples, which the generator shuffles so that nothing downstream can get
 away with assuming index-aligned orderings.
 
+Every scenario the package makes is built by :func:`scenario_from_dict`;
+:func:`generate` writes its world in the file form and loads it.
+
 Randomness is drawn only through ``Generator.random()`` (the raw uniform
 stream), with Dirichlet and permutation sampling implemented locally on
 top of it.  This keeps generated scenarios bit-identical across numpy
@@ -20,6 +23,7 @@ versions, which the golden-output tests rely on.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -72,7 +76,12 @@ def _gamma(rng, shape: float) -> float:
 
 def _dirichlet(rng, alpha: float, size: int) -> np.ndarray:
     g = np.array([_gamma(rng, alpha) for _ in range(size)])
-    return g / g.sum()
+    with np.errstate(over="ignore"):
+        total = g.sum()
+    if not 0.0 < total < math.inf:  # every draw underflowed, or their sum overflowed
+        raise ValueError(f"Dirichlet concentration {alpha!r} is out of range: "
+                         f"its {size} gamma draws sum to {total}")
+    return g / total
 
 
 def _shuffled(rng, items: Sequence) -> list:
@@ -137,16 +146,6 @@ class Alignment:
 
     def prompt_map(self, m: int, n: int) -> dict[int, int]:
         return {t[m]: t[n] for t in self.prompt_tuples}
-
-    def group_of_prompt(self, m: int, prompt_id: int) -> int:
-        for g, t in enumerate(self.prompt_tuples):
-            if t[m] == prompt_id:
-                return g
-        raise StructuralError(f"prompt {prompt_id} not aligned in language index {m}")
-
-    def candidate_map(self, m: int, n: int, prompt_id_m: int) -> dict[int, int]:
-        g = self.group_of_prompt(m, prompt_id_m)
-        return {c[m]: c[n] for c in self.candidate_tuples[g]}
 
 
 @dataclass(frozen=True)
@@ -284,8 +283,8 @@ class GeneratorConfig:
             raise ValueError("noise must lie in [0, 1)")
         if self.translator_mode == "bijective" and self.noise != 0.0:
             raise ValueError("bijective mode takes no noise")
-        if not (self.ref_sharpness > 0):
-            raise ValueError("ref_sharpness must be positive")
+        if not 0 < self.ref_sharpness < math.inf:  # at inf, _gamma never accepts a draw
+            raise ValueError("ref_sharpness must be positive and finite")
         if self.prior_mode not in ("uniform", "dirichlet"):
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
         for name, vec in (("u", self.u), ("v", self.v)):
@@ -296,15 +295,6 @@ class GeneratorConfig:
         StrengthConfig(ones if self.u is None else self.u, ones if self.v is None else self.v)
 
 
-def _translator_row(target_ids: Sequence[int], on: int, noise: float) -> LogDist:
-    ids = tuple(sorted(target_ids))
-    if noise == 0.0:
-        return LogDist.point_mass(ids, on)
-    k = len(ids)
-    probs = [noise / k + (1.0 - noise) * (1.0 if i == on else 0.0) for i in ids]
-    return LogDist.from_probs(ids, probs)
-
-
 def generate(config: GeneratorConfig) -> Scenario:
     """Build a scenario deterministically from the config.
 
@@ -313,71 +303,47 @@ def generate(config: GeneratorConfig) -> Scenario:
     alignment with uniform leakage in noisy mode.  Prompt-level leakage
     spreads over the target language's prompts; candidate-level leakage
     stays inside the aligned candidate set, so round trips remain
-    comparable against direct rows.
+    comparable against direct rows.  The loader builds the world's file form.
     """
     rng = np.random.default_rng(config.seed)
     N, P, C = config.n_langs, config.n_prompts, config.n_candidates
-
-    # ID layout: per language, P prompt IDs then P*C candidate IDs
-    spaces = []
-    next_id = 0
-    for m in range(N):
-        prompts = tuple(range(next_id, next_id + P))
-        next_id += P
-        candidates = {}
-        for p in prompts:
-            candidates[p] = tuple(range(next_id, next_id + C))
-            next_id += C
-        spaces.append(LanguageSpace(lang_id=m, prompts=prompts, candidates=candidates))
-
-    # alignment: language 0 in natural order, the rest shuffled
-    prompt_cols = [list(spaces[0].prompts)]
-    for m in range(1, N):
-        prompt_cols.append(_shuffled(rng, spaces[m].prompts))
-    prompt_tuples = tuple(zip(*prompt_cols))
-
-    candidate_tuples = []
-    for g, pt in enumerate(prompt_tuples):
-        cols = [list(spaces[0].candidates[pt[0]])]
-        for m in range(1, N):
-            cols.append(_shuffled(rng, spaces[m].candidates[pt[m]]))
-        candidate_tuples.append(tuple(zip(*cols)))
-    alignment = Alignment(prompt_tuples, tuple(candidate_tuples))
-
-    # reference rows
     delta = config.noise if config.translator_mode == "noisy" else 0.0
-    ref = {}
-    for m, sp in enumerate(spaces):
-        rows = {}
-        for p in sp.prompts:
-            probs = _dirichlet(rng, config.ref_sharpness, C)
-            rows[p] = LogDist.from_probs(sp.candidates[p], probs)
-        ref[m] = StochasticKernel(domain=m, codomain=m, rows=rows)
 
-    # translators for every ordered pair, prompts and candidates alike
-    translators = {}
-    for m in range(N):
-        for n in range(N):
-            if m == n:
-                continue
-            rows = {}
-            pmap = alignment.prompt_map(m, n)
-            for p_m, p_n in pmap.items():
-                rows[p_m] = _translator_row(spaces[n].prompts, p_n, delta)
-                cmap = alignment.candidate_map(m, n, p_m)
-                targets = spaces[n].candidates[p_n]
-                for c_m, c_n in cmap.items():
-                    rows[c_m] = _translator_row(targets, c_n, delta)
-            translators[(m, n)] = StochasticKernel(domain=m, codomain=n, rows=rows)
+    # ID layout: per language, P prompt IDs then P*C candidate IDs, all ascending
+    spaces = [{b + i: list(range(b + P + i * C, b + P + (i + 1) * C)) for i in range(P)}
+              for b in range(0, N * P * (1 + C), P * (1 + C))]
+    # alignment: language 0 in natural order, the rest shuffled
+    prompt_pairs = [list(t) for t in zip(spaces[0], *(_shuffled(rng, sp) for sp in spaces[1:]))]
+    candidate_pairs = [[list(c) for c in zip(spaces[0][pt[0]], *(
+        _shuffled(rng, spaces[m][pt[m]]) for m in range(1, N)))] for pt in prompt_pairs]
+    ref = [[{"prompt": p, "probs": _dirichlet(rng, config.ref_sharpness, C).tolist()}
+            for p in sp] for sp in spaces]
+    priors = [[1.0 / P] * P if config.prior_mode == "uniform"
+              else _dirichlet(rng, 1.0, P).tolist() for _ in spaces]
 
-    priors = {m: LogDist.uniform(sp.prompts) if config.prior_mode == "uniform"
-              else LogDist.from_probs(sp.prompts, _dirichlet(rng, 1.0, P))
-              for m, sp in enumerate(spaces)}
+    def rows(m: int, n: int):
+        """Each aligned prompt's row, then its candidates' rows: the aligned
+        ID's mass, with ``delta`` spread uniformly over the targets."""
+        for pt, grp in zip(prompt_pairs, candidate_pairs):
+            for ids, targets in [(pt, list(spaces[n]))] + [(c, spaces[n][pt[n]]) for c in grp]:
+                on, k = ids[n], len(targets)
+                probs = [delta / k + (1.0 - delta) * (1.0 if i == on else 0.0) for i in targets]
+                yield {"id": ids[m], "probs": probs}
 
-    u = config.u if config.u is not None else (1.0,) * N
-    v = config.v if config.v is not None else (1.0,) * N
-    return Scenario(tuple(spaces), alignment, ref, translators, priors, StrengthConfig(u, v),
-                    config.seed)
+    ones = (1.0,) * N
+    return scenario_from_dict({
+        "version": SCHEMA_VERSION,
+        "seed": config.seed,
+        "languages": [{"id": m, "prompts": [{"id": p, "candidates": cs} for p, cs in sp.items()]}
+                      for m, sp in enumerate(spaces)],
+        "alignment": {"prompt_pairs": prompt_pairs, "candidate_pairs": candidate_pairs},
+        "ref_kernels": [{"lang": m, "rows": r} for m, r in enumerate(ref)],
+        "translators": [{"from": m, "to": n, "rows": list(rows(m, n))}
+                        for m, n in itertools.permutations(range(N), 2)],
+        "priors": [{"lang": m, "probs": pr} for m, pr in enumerate(priors)],
+        "strengths": {"u": [float(x) for x in (ones if config.u is None else config.u)],
+                      "v": [float(x) for x in (ones if config.v is None else config.v)]},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +465,6 @@ def cocycle_violations(s: Scenario) -> list[Violation]:
 # serialization
 
 
-def _dist_probs(d: LogDist) -> list[float]:
-    return [float(x) for x in d.probs]
-
-
 def scenario_to_dict(s: Scenario) -> dict:
     langs = []
     for sp in s.spaces:
@@ -526,7 +488,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             {
                 "lang": m,
                 "rows": [
-                    {"prompt": p, "probs": _dist_probs(s.ref[m].rows[p])}
+                    {"prompt": p, "probs": s.ref[m].rows[p].probs.tolist()}
                     for p in s.space(m).prompts
                 ],
             }
@@ -537,13 +499,13 @@ def scenario_to_dict(s: Scenario) -> dict:
                 "from": a,
                 "to": b,
                 "rows": [
-                    {"id": i, "probs": _dist_probs(k.rows[i])} for i in sorted(k.rows)
+                    {"id": i, "probs": k.rows[i].probs.tolist()} for i in sorted(k.rows)
                 ],
             }
             for (a, b), k in sorted(s.translators.items())
         ],
         "priors": [
-            {"lang": m, "probs": _dist_probs(s.priors[m])} for m in s.lang_ids
+            {"lang": m, "probs": s.priors[m].probs.tolist()} for m in s.lang_ids
         ],
         "strengths": {"u": list(s.strengths.u), "v": list(s.strengths.v)},
     }
@@ -575,13 +537,19 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _id(value, where: str) -> int:
+def _int(value, where: str) -> int:
     try:
         if isinstance(value, bool):  # JSON true and false are not numbers
             raise TypeError
         return operator.index(value)
     except TypeError:
         raise ScenarioFormatError(f"{where}: {value!r} is not an integer") from None
+
+
+def _id(value, where: str) -> int:
+    if -2**63 <= (i := _int(value, where)) < 2**63:  # IDs are kept in int64 arrays
+        return i
+    raise ScenarioFormatError(f"{where}: integer outside the int64 range")
 
 
 def _ids(value, where: str, width: int | None = None) -> tuple[int, ...]:
@@ -605,8 +573,11 @@ def _probs(support: Sequence[int], probs: list, where: str) -> list:
     if len(support) != len(probs):
         raise ScenarioFormatError(f"{where}: {len(probs)} probabilities for {len(support)} ids")
     total = 0.0
-    for x in probs:  # in order, as the builtin sum adds floats before Python 3.12
-        total += x
+    try:
+        for x in probs:  # in order, as the builtin sum adds floats before Python 3.12
+            total += x
+    except OverflowError:  # an int beyond the float range
+        raise ScenarioFormatError(f"{where}: probs must be within the float range") from None
     if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise ScenarioFormatError(f"{where}: probabilities sum to {total!r}, not 1")
     return probs
@@ -654,7 +625,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     version = _need(doc, "version", "document")
     if version != SCHEMA_VERSION:
         raise ScenarioFormatError(f"unsupported scenario version {version!r}")
-    seed = _need(doc, "seed", "document", _id)
+    seed = _need(doc, "seed", "document", _int)
 
     by_id = {}
     for entry in _need(doc, "languages", "document", _list):
@@ -740,7 +711,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ScenarioFormatError(f"strengths {name}: entries must be numbers")
     try:
         strengths = StrengthConfig(tuple(u), tuple(v))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ScenarioFormatError(f"strengths: {err}") from err
 
     return Scenario(spaces, alignment, ref, translators, priors.dists, strengths, seed)

@@ -47,6 +47,24 @@ class TestGen:
         for u, v in (("1,-1", "1,1"), ("1,inf", "1,1"), ("1,1e308", "1,1e308")):
             assert run("gen", "--u", u, "--v", v, "--out", tmp_path / "x.json") == 1
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--alpha", "inf"], "ref_sharpness must be positive and finite"),
+        (["--alpha", "1e-4", "--seed", "1"], "Dirichlet concentration 0.0001 is out of range"),
+        (["--alpha", "0.001", "--seed", "5"], "Dirichlet concentration 0.001 is out of range"),
+        (["--alpha", "1e308"], "Dirichlet concentration 1e+308 is out of range"),
+    ], ids=["inf", "1e-4", "0.001", "1e308"])
+    def test_alpha_out_of_range_exits_one(self, tmp_path, argv, field):
+        # at inf the gamma sampler never accepted a draw, so this runs in a
+        # child process that a timeout can stop; the others ended in a traceback
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "xlconsist.cli", "gen", *argv, "--prompts",
+                               "8", "--cands", "6", "--out", str(tmp_path / "x.json")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and field in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_translator_spec_exits_one(self, tmp_path):
         assert run("gen", "--translator", "noisy:lots", "--out", tmp_path / "x.json") == 1
 
@@ -179,6 +197,7 @@ class TestEval:
             ("rows", {"version": "1", "rows": 5}),
             ("prompt not in the scenario", with_row(prompt=12345)),
             ("probabilities sum", with_row(probs=[0.5] * len(good["rows"][0]["probs"]))),
+            ("prompt=0: probs must be within the float range", with_row(probs=[10**400, 0, 0, 0])),
             ("prompt 0 appears twice",
              {"version": "1", "rows": good["rows"] + good["rows"][:1]}),
         ]

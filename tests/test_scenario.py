@@ -27,6 +27,7 @@ from xlconsist.scenario import (
     generate,
     load,
     save,
+    scenario_from_dict,
     scenario_to_dict,
     validate,
     _dirichlet,
@@ -133,10 +134,9 @@ class TestGenerate:
     def test_gold_maps_correspond_across_languages(self):
         s = generate(BIJ)
         g0, g1 = s.gold_map(0), s.gold_map(1)
-        pmap = s.alignment.prompt_map(0, 1)
-        for p0, gold0 in g0.items():
-            cmap = s.alignment.candidate_map(0, 1, p0)
-            assert g1[pmap[p0]] == cmap[gold0]
+        for pt, grp in zip(s.alignment.prompt_tuples, s.alignment.candidate_tuples):
+            cmap = {c[0]: c[1] for c in grp}
+            assert g1[pt[1]] == cmap[g0[pt[0]]]
 
     def test_round_trip_composes_on_generated_world(self):
         s = generate(BIJ)
@@ -149,8 +149,9 @@ class TestGenerate:
             GeneratorConfig(n_candidates=0)
         with pytest.raises(ValueError):
             GeneratorConfig(translator_mode="noisy", noise=1.0)
-        with pytest.raises(ValueError):
-            GeneratorConfig(ref_sharpness=0.0)
+        for alpha in (0.0, math.inf, math.nan):  # at inf, generation never returned
+            with pytest.raises(ValueError, match="ref_sharpness must be positive and finite"):
+                GeneratorConfig(ref_sharpness=alpha)
         with pytest.raises(ValueError):
             GeneratorConfig(translator_mode="telepathy")
         with pytest.raises(ValueError):
@@ -438,3 +439,72 @@ class TestRowErrorsThroughFiles:
                      "--out", str(tmp_path / "m.json")]) == 1
         assert "priors[1]: negative probability" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+
+def _renamed(doc, new):
+    """``doc`` with the last candidate ID of language 0 renamed ``new`` wherever
+    it appears; no larger ID shares a support with it, so no row reorders."""
+    old = doc["languages"][0]["prompts"][-1]["candidates"][-1]
+
+    def swap(ids):
+        return [new if i == old else i for i in ids]
+
+    for p in doc["languages"][0]["prompts"]:
+        p["candidates"] = swap(p["candidates"])
+    for grp in doc["alignment"]["candidate_pairs"]:
+        grp[:] = [swap(c[:1]) + c[1:] for c in grp]
+    for t in doc["translators"]:
+        if t["from"] == 0:
+            for r in t["rows"]:
+                r["id"] = swap([r["id"]])[0]
+    return doc
+
+
+class TestIntegersBeyondTheirType:
+    """A JSON integer has no bound: one beyond the float range as a number, or
+    beyond int64 as an ID, once loaded and then ended in an ``OverflowError``."""
+
+    @pytest.mark.parametrize("where", LOCATIONS)
+    def test_probability_beyond_the_float_range_names_the_row(self, where):
+        doc = _spoiled(scenario_to_dict(generate(BIJ)), where, [10**400, 0, 0, 0])
+        with pytest.raises(ScenarioFormatError, match=rf"^{re.escape(LOCATIONS[where])}: "
+                                                      "probs must be within the float range$"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_strength_beyond_the_float_range_names_the_strengths(self, name):
+        doc = scenario_to_dict(generate(BIJ))
+        doc["strengths"][name] = [1, 10**400]
+        with pytest.raises(ScenarioFormatError, match="^strengths: int too large"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("new", [2**63, -2**63 - 1, 10**30])
+    def test_id_outside_int64_names_the_prompt(self, new):
+        doc = _renamed(scenario_to_dict(generate(BIJ)), new)
+        with pytest.raises(ScenarioFormatError, match=r"^prompt 3 candidates: integer outside "
+                                                      "the int64 range$"):
+            scenario_from_dict(doc)
+
+    def test_the_int64_edge_loads_and_the_seed_is_unbounded(self):
+        doc = _renamed(scenario_to_dict(generate(BIJ)), 2**63 - 1)
+        doc["seed"] = 2**64
+        s = scenario_from_dict(doc)
+        assert validate(s) == [] and s.seed == 2**64
+        assert max(s.space(0).candidates[3]) == 2**63 - 1
+        assert generate(dataclasses.replace(BIJ, seed=2**64)).seed == 2**64
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: _spoiled(doc, "reference row", [10**400, 0, 0, 0]),
+         "ref_kernels[0] prompt 1: probs must be within the float range"),
+        (lambda doc: doc["strengths"].update(u=[1, 10**400]), "strengths: int too large"),
+        (lambda doc: _renamed(doc, 10**30), "prompt 3 candidates: integer outside the int64"),
+    ], ids=["probability", "strength", "id"])
+    @pytest.mark.parametrize("policy", ["ref", "optimum"])
+    def test_eval_exits_one_naming_the_field(self, tmp_path, capsys, edit, message, policy):
+        doc = scenario_to_dict(generate(BIJ))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--scenario", str(path), "--policy", policy,
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert message in capsys.readouterr().err

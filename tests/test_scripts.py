@@ -27,6 +27,7 @@ print(callable(names[sys.argv[2]]))
 PROBE_HASHES = {
     2: "95b406369913ba09a8409fa5c6368bba0c8e7f4aa69cf09a04aed4f6a6de6411",
     4: "77d1dcf64566abbf4acd73b73902c2925f4ca4d0bc257e7e67397687836c30a3",
+    26: "30ac909aecd405100eff21940d237d464bb2ce17354224d86cdae858b3e2d52f",
 }
 STAGES = ("generate", "to_dict", "from_dict", "optimum", "evaluate", "run_checks",
           "minimality", "fit_dco")
@@ -70,6 +71,13 @@ def test_scale_probe_prints_a_stable_hash(tmp_path):
     for r in first:
         assert all(r[f"{stage}_s"] > 0 for stage in STAGES)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_scale_probe_hash_at_the_paper_language_count(tmp_path):
+    # the 26-language world, generated through the loader, keeps every output bit
+    (row,) = _probe(tmp_path, "--langs", "26")
+    assert (row["langs"], row["prompts"]) == (26, 4)
+    assert row["sha256"] == PROBE_HASHES[26]
 
 
 def test_scale_probe_takes_the_prompt_count(tmp_path):
