@@ -303,7 +303,7 @@ def generate(config: GeneratorConfig) -> Scenario:
     alignment with uniform leakage in noisy mode.  Prompt-level leakage
     spreads over the target language's prompts; candidate-level leakage
     stays inside the aligned candidate set, so round trips remain
-    comparable against direct rows.  The loader builds the world's file form.
+    comparable against direct rows.  The loader builds it from its file form.
     """
     rng = np.random.default_rng(config.seed)
     N, P, C = config.n_langs, config.n_prompts, config.n_candidates

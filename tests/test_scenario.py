@@ -442,8 +442,8 @@ class TestRowErrorsThroughFiles:
 
 
 def _renamed(doc, new):
-    """``doc`` with the last candidate ID of language 0 renamed ``new`` wherever
-    it appears; no larger ID shares a support with it, so no row reorders."""
+    """``doc`` with language 0's largest candidate ID renamed ``new`` wherever it
+    appears; a larger ``new`` keeps the order of every support holding it."""
     old = doc["languages"][0]["prompts"][-1]["candidates"][-1]
 
     def swap(ids):
